@@ -47,7 +47,6 @@ from .system import (
     bounded_system,
     compare_systems,
     default_bound,
-    delta1_envelope,
     delta_star,
     observed_delta,
     rho_k,
@@ -80,7 +79,6 @@ __all__ = [
     "davenport_lower_bound",
     "default_bound",
     "delta",
-    "delta1_envelope",
     "delta_star",
     "engine_for",
     "enumerate_atoms",

@@ -1,16 +1,11 @@
-"""Search-effort accounting and the worker pool shared by the enumeration modules."""
+"""Search-effort accounting shared by the enumeration modules."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 DEFAULT_MAX_NODES = 400_000_000
 _ENV_VAR = "ZEROLEN_MAX_NODES"
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 class ResourceLimitError(RuntimeError):
@@ -54,10 +49,3 @@ class NodeCounter:
                 f"(set {_ENV_VAR} to raise it)"
             )
 
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Order-preserving map over a thread pool; threads=1 stays inline."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

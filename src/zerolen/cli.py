@@ -52,26 +52,9 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _bound_for(group, args, config) -> int:
-    if getattr(args, "max_len", None) is not None:
+def _bound_for(group, args) -> int:
+    if args.max_len is not None:
         return args.max_len
-    key = f"bound.{'x'.join(str(n) for n in group.invariant_factors)}"
-    if key in config:
-        return int(config[key])
     return default_bound(group)
 
 
@@ -79,7 +62,7 @@ def _gens(text: str) -> NumericalMonoid:
     return NumericalMonoid(int(t) for t in text.replace(" ", "").split(",") if t)
 
 
-def cmd_atoms(args, config) -> int:
+def cmd_atoms(args) -> int:
     group = parse_group(args.group)
     subset = None
     if args.subset:
@@ -101,7 +84,7 @@ def cmd_atoms(args, config) -> int:
     return 0
 
 
-def cmd_lengths(args, config) -> int:
+def cmd_lengths(args) -> int:
     group = parse_group(args.group)
     seq = parse_sequence(group, args.sequence)
     lengths = engine_for(group).length_set(seq)
@@ -118,9 +101,9 @@ def cmd_lengths(args, config) -> int:
     return 0
 
 
-def cmd_system(args, config) -> int:
+def cmd_system(args) -> int:
     group = parse_group(args.group)
-    bound = _bound_for(group, args, config)
+    bound = _bound_for(group, args)
     subset = group.elements if args.with_zero else None
     system = bounded_system(group, subset, bound)
     sets = []
@@ -142,9 +125,9 @@ def cmd_system(args, config) -> int:
     return 0
 
 
-def cmd_delta_star(args, config) -> int:
+def cmd_delta_star(args) -> int:
     group = parse_group(args.group)
-    bound = _bound_for(group, args, config)
+    bound = _bound_for(group, args)
     _emit(
         {
             "group": group.label,
@@ -156,7 +139,7 @@ def cmd_delta_star(args, config) -> int:
     return 0
 
 
-def cmd_rho_k(args, config) -> int:
+def cmd_rho_k(args) -> int:
     group = parse_group(args.group)
     cert = rho_k(group, args.k, args.max_len)
     _emit(
@@ -173,10 +156,10 @@ def cmd_rho_k(args, config) -> int:
     return 0
 
 
-def cmd_compare(args, config) -> int:
+def cmd_compare(args) -> int:
     ga, gb = parse_group(args.group_a), parse_group(args.group_b)
-    sa = bounded_system(ga, ga.elements, _bound_for(ga, args, config))
-    sb = bounded_system(gb, gb.elements, _bound_for(gb, args, config))
+    sa = bounded_system(ga, ga.elements, _bound_for(ga, args))
+    sb = bounded_system(gb, gb.elements, _bound_for(gb, args))
     rep = compare_systems(sa, sb)
     _emit(
         {
@@ -191,7 +174,7 @@ def cmd_compare(args, config) -> int:
     return 0
 
 
-def cmd_intersect(args, config) -> int:
+def cmd_intersect(args) -> int:
     groups = [parse_group(t) for t in args.groups]
     rep = bounded_intersection(groups, max_value=args.max_value)
     _emit(
@@ -206,7 +189,7 @@ def cmd_intersect(args, config) -> int:
     return 0 if not rep.unconfirmed else 1
 
 
-def cmd_family(args, config) -> int:
+def cmd_family(args) -> int:
     if args.action == "list":
         rows = [
             {
@@ -257,14 +240,14 @@ def cmd_family(args, config) -> int:
     raise UsageError(f"unknown family action {args.action!r}")
 
 
-def cmd_verify(args, config) -> int:
-    report = run_verification(args.target, bound=args.bound, threads=args.threads)
+def cmd_verify(args) -> int:
+    report = run_verification(args.target, bound=args.bound)
     payload = report.as_dict(with_time=not args.json)
     _emit(payload, args.json)
     return 0 if report.status == "pass" else 1
 
 
-def cmd_nm(args, config) -> int:
+def cmd_nm(args) -> int:
     if args.action == "lengths":
         if args.a is None:
             raise UsageError("nm lengths needs an element: nm lengths <gens> <a>")
@@ -350,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1, help="worker pool size")
-    common.add_argument("--config", help="key=value file overriding default bounds")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
@@ -433,9 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = _load_config(args.config)
     try:
-        return args.fn(args, config)
+        return args.fn(args)
     except (ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,23 +1,36 @@
 """Exact sets of lengths, with the derived invariants and the AAMP test.
 
-``LengthEngine.length_set`` computes L(B) by the memoized recursion
+One forward dynamic program computes every length set in the package.  It
+walks zero-sum multisets over a fixed support, packed into one integer with
+a bit field per support element, in order of size:
 
-    L(B) = union over atoms A | B of (1 + L(B / A)),        L(empty) = {0},
+    L(empty) = {0},    L(S + A) contains 1 + L(S) for each atom A,
 
-with the memo keyed on the canonical multiset key, so every distinct zero-sum
-divisor is solved once regardless of how factorizations interleave.  Zeros are
-stripped up front and re-added as a shift.  Length sets travel as sorted
-tuples; internally they are small integer bitmasks.
+and a state's value is the bitmask of its lengths, so pushing an atom onto a
+finished state is one integer addition and one OR.  Two rules keep it small:
+
+* Cap.  Each field has a cap and one guard bit above it; a push is kept only
+  while every field stays within its cap.  With caps equal to a length bound
+  the sweep enumerates a bounded system (``system``); with caps equal to the
+  multiplicities of B it reaches exactly the zero-sum divisors of B.
+* Pivot.  Every factorization of T contains an atom holding the lowest
+  element of T, so T needs only the pushes of those atoms.  In push form a
+  state whose lowest nonzero field is i pushes only the atoms whose lowest
+  field is at most i (Knuth's column rule in "Dancing links").
+
+``LengthEngine.length_set`` runs the sweep capped by B's zero-free core and
+keeps only the top state's mask, memoized per core.  Zeros are re-added as a
+shift.  Length sets travel as sorted tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .atoms import enumerate_atoms
-from .budget import NodeCounter
+from .budget import NodeCounter, ResourceLimitError
 from .groups import Element, FiniteAbelianGroup
 from .sequences import Sequence
 
@@ -46,51 +59,124 @@ def mask_to_lengths(mask: int) -> Lengths:
     return tuple(out)
 
 
+# -- the packed sweep -------------------------------------------------
+
+
+def _pack_layout(width: int, n_fields: int) -> int:
+    """Bits per field: values up to ``width`` plus one guard bit above them."""
+    bits = width.bit_length() + 1
+    if bits * n_fields > 600:  # keeps keys to a few machine words
+        raise ResourceLimitError("support too large for the packed sweep")
+    return bits
+
+
+def packed_sweep(
+    group: FiniteAbelianGroup,
+    support: tuple[Element, ...],
+    caps: list[int],
+    limit: int,
+    counter: NodeCounter,
+) -> tuple[int, Iterator[dict[int, int]]]:
+    """Field width and the levels 0..limit of the capped sweep over ``support``.
+
+    Level s maps each packed zero-sum multiset of size s, with multiplicity
+    at most ``caps[i]`` of ``support[i]``, to its length bitmask.  Levels are
+    yielded in size order and dropped by the sweep once expanded, so a caller
+    keeps only what it stores.  ``counter`` ticks once per state expanded.
+    """
+    catalog = enumerate_atoms(group, support)
+    bits = _pack_layout(max(caps, default=0) + catalog.davenport, len(support))
+    pos = {g: i * bits for i, g in enumerate(support)}
+    guard = sum(1 << (p + bits - 1) for p in pos.values())
+    ceiling = guard | sum(c << p for c, p in zip(caps, pos.values()))
+    atoms = sorted(
+        (a.length, sum(m << pos[g] for g, m in a.items))
+        for a in catalog
+        if a.length <= limit
+    )
+    # by_pivot[i]: the atoms whose lowest field is at most i, shortest first
+    by_pivot = [
+        [(alen, ak) for alen, ak in atoms if _lowest_field(ak, bits) <= i]
+        for i in range(max(len(support), 1))
+    ]
+    return bits, _levels(by_pivot, bits, ceiling, guard, limit, counter)
+
+
+def _lowest_field(state: int, bits: int) -> int:
+    """Index of the lowest nonzero field; -1 for the empty state."""
+    return ((state & -state).bit_length() - 1) // bits
+
+
+def _levels(by_pivot, bits, ceiling, guard, limit, counter):
+    """Yield each level once every push into it is done, then expand it."""
+    pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level
+    for s in range(limit + 1):
+        cur = pending.pop(s, {})
+        yield cur
+        if not cur:
+            continue
+        counter.tick(len(cur))
+        room = limit - s
+        pushes = [
+            [
+                (ak, pending.setdefault(s + alen, {}))
+                for alen, ak in atoms
+                if alen <= room
+            ]
+            for atoms in by_pivot
+        ]
+        for state, mask in cur.items():
+            shifted = mask << 1
+            # _lowest_field inlined; the empty state's -1 picks the last list
+            for ak, tgt in pushes[((state & -state).bit_length() - 1) // bits]:
+                nk = state + ak
+                if (ceiling - nk) & guard == guard:  # every field within its cap
+                    tgt[nk] = tgt.get(nk, 0) | shifted
+
+
+# -- the length engine ------------------------------------------------
+
+
 class LengthEngine:
-    def __init__(self, group: FiniteAbelianGroup, node_limit: int | None = None):
+    """L(B) over one group, memoized on the zero-free core of B."""
+
+    def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        self.counter = NodeCounter(node_limit)
+        self.nodes = 0  # states expanded by every query so far; a memo hit adds none
         self._memo: dict[tuple, int] = {(): 1}
-        self._atom_items: dict[tuple, tuple[tuple, ...]] = {}
-
-    @property
-    def nodes(self) -> int:
-        return self.counter.count
-
-    def _atoms_for(self, support: tuple[Element, ...]) -> tuple[tuple, ...]:
-        cached = self._atom_items.get(support)
-        if cached is None:
-            catalog = enumerate_atoms(self.group, support)
-            cached = tuple(a.items for a in catalog)
-            self._atom_items[support] = cached
-        return cached
-
-    def _mask(self, items: tuple) -> int:
-        memo = self._memo
-        found = memo.get(items)
-        if found is not None:
-            return found
-        self.counter.tick()
-        atoms = self._atoms_for(tuple(g for g, _ in items))
-        mask = 0
-        for aitems in atoms:
-            rest = _subtract(items, aitems)
-            if rest is not None:
-                mask |= self._mask(rest) << 1
-        memo[items] = mask
-        return mask
 
     def length_set(self, seq: Sequence) -> Lengths:
         """Exact L(B) of a zero-sum sequence B."""
         if seq.group != self.group:
             raise ValueError("sequence belongs to a different group")
-        if not seq.is_zero_sum:
-            raise ValueError(f"L(B) requires a zero-sum sequence, sigma={seq.sigma}")
         zero = self.group.zero
-        zeros = seq.multiplicity(zero)
         core = tuple(p for p in seq.items if p[0] != zero)
-        mask = self._mask(core)
+        mask = self._memo.get(core)
+        if mask is None:  # only zero-sum cores are ever stored
+            if not seq.is_zero_sum:
+                raise ValueError(
+                    f"L(B) requires a zero-sum sequence, sigma={seq.sigma}"
+                )
+            mask = self._memo[core] = self._sweep_mask(core)
+        zeros = seq.multiplicity(zero)
         return tuple(v + zeros for v in mask_to_lengths(mask))
+
+    def _sweep_mask(self, core: tuple) -> int:
+        """Length bitmask of the core by a sweep capped at its multiplicities.
+
+        The budget covers this one sweep.
+        """
+        caps = [m for _, m in core]
+        counter = NodeCounter()
+        try:
+            bits, levels = packed_sweep(
+                self.group, tuple(g for g, _ in core), caps, sum(caps), counter
+            )
+            for top in levels:  # the last level, of size |core|, holds the core
+                pass
+        finally:
+            self.nodes += counter.count
+        return top[sum(m << (i * bits) for i, m in enumerate(caps))]
 
     def max_length_with_length2_atom(self, seq: Sequence, atom2: Sequence) -> int:
         """max L(B) computed as 1 + max L(B / A1) for a dividing length-2 atom.
@@ -109,27 +195,6 @@ class LengthEngine:
                 f"max-length identity failed: {via_removal} != {direct}"
             )
         return via_removal
-
-
-def _subtract(items: tuple, sub: tuple) -> Optional[tuple]:
-    """items - sub as sorted pair tuples, or None when sub does not divide."""
-    out = []
-    i = 0
-    n = len(items)
-    for g, m in sub:
-        while i < n and items[i][0] != g:
-            out.append(items[i])
-            i += 1
-        if i == n:
-            return None
-        have = items[i][1]
-        if have < m:
-            return None
-        if have > m:
-            out.append((g, have - m))
-        i += 1
-    out.extend(items[i:])
-    return tuple(out)
 
 
 # -- derived invariants -----------------------------------------------

@@ -1,12 +1,10 @@
 """Bounded systems of sets of lengths and the system-level invariants.
 
-The enumeration core is a forward dynamic program over multisets packed into
-a single integer (one bit field per support element), walking sizes upward:
-a state is a zero-sum multiset, its value the bitmask of factorization
-lengths, and pushing an atom onto a finished state is one integer addition.
-Every result at this level is a bounded certificate: it speaks about all
-zero-sum sequences up to the stated length bound, never about the full
-infinite system.
+The enumeration core is the packed forward sweep of ``lengths`` with every
+field capped at the length bound: a state is a zero-sum multiset, its value
+the bitmask of factorization lengths.  Every result at this level is a
+bounded certificate: it speaks about all zero-sum sequences up to the stated
+length bound, never about the full infinite system.
 """
 
 from __future__ import annotations
@@ -17,15 +15,15 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
-from .budget import NodeCounter, ResourceLimitError
+from .budget import NodeCounter
 from .families import family_branches, intersection_witness
 from .groups import Element, FiniteAbelianGroup
-from .lengths import delta, engine_for, mask_to_lengths
+from .lengths import delta, engine_for, mask_to_lengths, packed_sweep
 from .sequences import Sequence
 
 Lengths = tuple[int, ...]
 
-_SWEEPS: dict[tuple, list[dict[int, int]]] = {}
+_SWEEPS: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
 
 
 def default_bound(group: FiniteAbelianGroup) -> int:
@@ -40,59 +38,22 @@ def default_bound(group: FiniteAbelianGroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed forward sweep
+# the bounded sweep
 # ---------------------------------------------------------------------------
-
-
-def _pack_layout(bound: int, n_fields: int) -> int:
-    bits = max(4, (bound + 1).bit_length())
-    if bits * n_fields > 600:  # keeps keys to a few machine words
-        raise ResourceLimitError("support too large for the packed sweep")
-    return bits
 
 
 def _sweep(
     group: FiniteAbelianGroup, support: tuple[Element, ...], bound: int
-) -> list[dict[int, int]]:
-    """levels[s] maps packed zero-sum multisets of size s to length bitmasks."""
+) -> tuple[int, list[dict[int, int]]]:
+    """Field width and levels[s]: packed zero-sum multisets of size s -> masks."""
     key = (group.invariant_factors, support, bound)
     cached = _SWEEPS.get(key)
-    if cached is not None:
-        return cached
-
-    bits = _pack_layout(bound, len(support))
-    pos = {g: i * bits for i, g in enumerate(support)}
-    catalog = enumerate_atoms(group, support)
-    atoms_by_len: dict[int, list[int]] = {}
-    for atom in catalog:
-        if atom.length <= bound:
-            packed = sum(m << pos[g] for g, m in atom.items)
-            atoms_by_len.setdefault(atom.length, []).append(packed)
-
-    counter = NodeCounter()
-    levels: list[dict[int, int]] = [dict() for _ in range(bound + 1)]
-    levels[0][0] = 1
-    for s in range(bound + 1):
-        cur = levels[s]
-        if not cur:
-            continue
-        pairs = [
-            (ak, levels[s + alen])
-            for alen, aks in atoms_by_len.items()
-            if s + alen <= bound
-            for ak in aks
-        ]
-        if not pairs:
-            continue
-        counter.tick(len(cur) * len(pairs))
-        for state, mask in cur.items():
-            shifted = mask << 1
-            for ak, tgt in pairs:
-                nk = state + ak
-                tgt[nk] = tgt.get(nk, 0) | shifted
-
-    _SWEEPS[key] = levels
-    return levels
+    if cached is None:
+        bits, levels = packed_sweep(
+            group, support, [bound] * len(support), bound, NodeCounter()
+        )
+        cached = _SWEEPS[key] = (bits, list(levels))
+    return cached
 
 
 def _unpack(
@@ -165,8 +126,7 @@ def bounded_system(
     )
     with_zero = group.zero in elems
     support = tuple(g for g in elems if g != group.zero)
-    levels = _sweep(group, support, bound)
-    bits = _pack_layout(bound, len(support))
+    bits, levels = _sweep(group, support, bound)
 
     best: dict[int, tuple[int, int]] = {}  # mask -> (size, state)
     for size, level in enumerate(levels):
@@ -322,8 +282,7 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
         bound = default_bound(group)
     support = group.nonzero_elements
     m = len(support)
-    levels = _sweep(group, support, bound)
-    bits = _pack_layout(bound, m)
+    bits, levels = _sweep(group, support, bound)
     field = (1 << bits) - 1
 
     dist_of_mask: dict[int, int] = {}
@@ -357,17 +316,6 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
         if acc:
             mins.add((acc & -acc).bit_length() - 1)
     return tuple(sorted(mins))
-
-
-def delta1_envelope(
-    group: FiniteAbelianGroup, bound: int | None = None
-) -> tuple[int, ...]:
-    """Documented surrogate for the limit set Delta_1: Delta* plus the
-    observed distances dividing some member of Delta*."""
-    star = set(delta_star(group, bound))
-    observed = observed_delta(bounded_system(group, None, bound))
-    env = star | {d for d in observed if any(s % d == 0 for s in star)}
-    return tuple(sorted(env))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .budget import global_nodes, parallel_map
+from .budget import global_nodes
 from .families import (
     COVERED_GROUPS,
     G2_4,
@@ -123,7 +123,6 @@ def completeness_check(
     families: tuple[str, ...],
     report: VerificationReport,
     y_max: int = 4,
-    threads: int = 1,
 ) -> None:
     branches = [
         br
@@ -137,15 +136,11 @@ def completeness_check(
                 if br.try_member(y, k) is not None:
                     jobs.append((br, y, k))
 
-    def run(job):
-        br, y, k = job
+    bad = 0
+    for br, y, k in jobs:
         member = tuple(sorted(br.member(y, k)))
         wit = br.witness(y, k)
         got = engine_for(br.group).length_set(wit)
-        return (br, y, k, member, wit, got)
-
-    bad = 0
-    for br, y, k, member, wit, got in parallel_map(run, jobs, threads):
         if got != member:
             bad += 1
             report.counterexamples.append(
@@ -161,15 +156,13 @@ def completeness_check(
     )
 
 
-def _verify_catalog(
-    target: str, bound: Optional[int], threads: int
-) -> VerificationReport:
+def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
     report = VerificationReport(target, "pass", {})
     for group, default in _SOUNDNESS[target]:
         b = bound if bound is not None else default
         report.bounds[group.label] = b
         soundness_check(group, b, report)
-    completeness_check(_FAMILY_PREFIX[target], report, threads=threads)
+    completeness_check(_FAMILY_PREFIX[target], report)
     if target in _EQUIVALENCES:
         eq = presentation_equivalence(_EQUIVALENCES[target], bound=30)
         report.checks.append(
@@ -188,7 +181,7 @@ def _verify_catalog(
     return report
 
 
-def _verify_t36(bound: Optional[int], threads: int) -> VerificationReport:
+def _verify_t36(bound: Optional[int]) -> VerificationReport:
     report = VerificationReport("T36", "pass", {"max": bound or 9})
     for p, gname in ((3, G3), (5, G5)):
         eng = engine_for(gname)
@@ -234,7 +227,7 @@ def _verify_t36(bound: Optional[int], threads: int) -> VerificationReport:
     return report
 
 
-def _verify_c24int(bound: Optional[int], threads: int) -> VerificationReport:
+def _verify_c24int(bound: Optional[int]) -> VerificationReport:
     hi = bound or 10
     report = VerificationReport("C24INT", "pass", {"max": hi})
     eng = engine_for(G2_4)
@@ -266,18 +259,16 @@ def _verify_c24int(bound: Optional[int], threads: int) -> VerificationReport:
     return report
 
 
-def run_verification(
-    target: str, bound: Optional[int] = None, threads: int = 1
-) -> VerificationReport:
+def run_verification(target: str, bound: Optional[int] = None) -> VerificationReport:
     """Run one verification target; status reflects the counterexample list."""
     start = time.perf_counter()
     nodes_before = global_nodes()
     if target in _SOUNDNESS:
-        report = _verify_catalog(target, bound, threads)
+        report = _verify_catalog(target, bound)
     elif target == "T36":
-        report = _verify_t36(bound, threads)
+        report = _verify_t36(bound)
     elif target == "C24INT":
-        report = _verify_c24int(bound, threads)
+        report = _verify_c24int(bound)
     else:
         raise ValueError(f"unknown verify target {target!r}; known: {TARGETS}")
     report.status = "pass" if not report.counterexamples else "fail"

@@ -34,7 +34,6 @@ from zerolen import (
     verify_thm57_case,
     y_L_bound,
 )
-from zerolen.budget import parallel_map
 from zerolen.families import COVERED_GROUPS
 
 from conftest import ACCEPTANCE_BOUNDS
@@ -98,13 +97,12 @@ def test_criterion_04_completeness_sweeps():
                 if br.try_member(y, k) is not None:
                     jobs.append((br, y, k))
 
-    def check(job):
-        br, y, k = job
-        want = tuple(sorted(br.member(y, k)))
-        got = engine_for(br.group).length_set(br.witness(y, k))
-        return None if got == want else (br.id, y, k, want, got)
-
-    bad = [r for r in parallel_map(check, jobs, threads=1) if r is not None]
+    bad = [
+        (br.id, y, k)
+        for br, y, k in jobs
+        if engine_for(br.group).length_set(br.witness(y, k))
+        != tuple(sorted(br.member(y, k)))
+    ]
     report(4, not bad, f"{len(jobs)} witnesses realize their members {bad[:2]}", t0)
 
 
@@ -333,12 +331,5 @@ def test_criterion_14_property_suites(groups):
             checked += 1
     assert checked > 4000
 
-    # thread-count determinism on a verification batch
-    from zerolen import run_verification
-
-    one = run_verification("T46", threads=1).as_dict()
-    four = run_verification("T46", threads=4).as_dict()
-    ok &= one == four
-
     report(14, ok, "sumsets, negation, interval/max-length/skipped-length laws, "
-                   "g-norm additivity, oracle equality, thread determinism", t0)
+                   "g-norm additivity, oracle equality", t0)

@@ -69,8 +69,3 @@ def test_json_determinism(capsys):
     _, second = run(capsys, "system", "3", "--max-len", "8", "--json")
     assert first == second
 
-
-def test_threads_flag_does_not_change_reports(capsys):
-    _, one = run(capsys, "verify", "T46", "--json", "--threads", "1")
-    _, four = run(capsys, "verify", "T46", "--json", "--threads", "4")
-    assert one == four

@@ -4,6 +4,8 @@ from itertools import product as iproduct
 import pytest
 
 from zerolen import (
+    LengthEngine,
+    ResourceLimitError,
     Sequence,
     delta,
     engine_for,
@@ -46,6 +48,33 @@ def test_empty_and_zero_shift():
     base = parse_sequence(g5, "(1)^5*(4)^5")
     eng = engine_for(g5)
     assert eng.length_set(base.with_zeros(4)) == tuple(v + 4 for v in eng.length_set(base))
+
+
+def test_long_sequences_need_no_recursion():
+    g2 = make_group([2])
+    assert engine_for(g2).length_set(Sequence.build(g2, {(1,): 4000})) == (2000,)
+    g5 = make_group([5])
+    B = Sequence.build(g5, {(1,): 2000, (4,): 2000})
+    assert engine_for(g5).length_set(B) == tuple(range(800, 2001, 3))
+
+
+def test_too_wide_for_the_packed_sweep():
+    g2 = make_group([2])
+    with pytest.raises(ResourceLimitError):
+        engine_for(g2).length_set(Sequence.build(g2, {(1,): 2**600}))
+
+
+def test_node_budget_covers_one_query(monkeypatch):
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "30")
+    g5 = make_group([5])
+    eng = LengthEngine(g5)
+    for text in ("(1)^10*(4)^10", "(2)^10*(3)^10", "(1)^5*(4)^5", "(2)^5*(3)^5"):
+        before = eng.nodes
+        assert eng.length_set(parse_sequence(g5, text))
+        assert 0 < eng.nodes - before <= 30
+    assert eng.nodes > 30
+    with pytest.raises(ResourceLimitError):
+        eng.length_set(parse_sequence(g5, "(1)^5*(2)^5*(3)^5*(4)^5"))
 
 
 def test_rejects_non_zero_sum():

@@ -6,14 +6,16 @@ from zerolen import (
     Sequence,
     bounded_system,
     compare_systems,
-    delta1_envelope,
     delta_star,
     engine_for,
     make_group,
     observed_delta,
     rho_k,
 )
-from zerolen.system import _pack_layout, _sweep
+from zerolen.lengths import mask_to_lengths
+from zerolen.system import _sweep, _unpack
+
+from oracles import naive_lengths
 
 
 def test_bounded_system_examples():
@@ -64,20 +66,15 @@ def test_with_zero_subsets_shift():
 
 
 def test_sweep_masks_agree_with_engine():
-    # the packed forward sweep and the memoized engine are independent paths
+    # the sweep is the length engine; check every state of a bounded sweep
+    # against the exhaustive factorization search of the test oracle
     G = make_group([2, 2])
-    bound = 10
-    levels = _sweep(G, G.nonzero_elements, bound)
-    bits = _pack_layout(bound, 3)
-    eng = engine_for(G)
-    from zerolen.lengths import mask_to_lengths
-    from zerolen.system import _unpack
-
+    bits, levels = _sweep(G, G.nonzero_elements, 10)
     checked = 0
-    for size, level in enumerate(levels):
+    for level in levels:
         for state, mask in level.items():
             seq = _unpack(G, G.nonzero_elements, bits, state)
-            assert eng.length_set(seq) == mask_to_lengths(mask)
+            assert naive_lengths(G, seq) == mask_to_lengths(mask)
             checked += 1
     assert checked > 50
 
@@ -104,7 +101,6 @@ def test_delta_star_small_groups():
     assert delta_star(make_group([3])) == (1,)
     assert delta_star(make_group([4])) == (1, 2)
     assert delta_star(make_group([2, 4])) == (1, 2)
-    assert delta1_envelope(make_group([2, 4])) == (1, 2)
 
 
 def test_compare_self_inclusion():
