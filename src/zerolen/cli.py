@@ -1,6 +1,7 @@
 """Command-line interface wiring the computation and verification modules.
 
-Exit codes: 0 on success/pass, 1 on a verification failure, 2 on usage errors.
+Exit codes: 0 on success/pass, 1 on a verification failure, 2 on usage errors,
+3 when a search exceeds its node budget (``ZEROLEN_MAX_NODES``).
 JSON output (``--json``) is deterministic; timing fields are suppressed there.
 """
 
@@ -12,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from .atoms import classify_c2c4, enumerate_atoms
+from .budget import ResourceLimitError
 from .families import (
     REGISTRY,
     family_member,
@@ -141,7 +143,7 @@ def cmd_delta_star(args) -> int:
 
 def cmd_rho_k(args) -> int:
     group = parse_group(args.group)
-    cert = rho_k(group, args.k, args.max_len)
+    cert = rho_k(group, args.k)
     _emit(
         {
             "group": group.label,
@@ -366,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("rho-k", help="k-th elasticity certificate")
     s.add_argument("group")
     s.add_argument("k", type=int)
-    s.add_argument("--max-len", type=int, dest="max_len")
     s.set_defaults(fn=cmd_rho_k)
 
     s = add("compare", help="bounded inclusion between two systems")
@@ -419,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -155,7 +155,8 @@ def _m_c23_long_interval(y: int, k: int) -> Member:
     return _iv(y + k, y + 2 * k) if k >= 3 else None
 
 
-def _m_t41_pair(y: int, k: int) -> Member:
+def _m_i23(y: int, k: int) -> Member:
+    # y + [2,3]
     return _iv(y + 2, y + 3) if k == 0 else None
 
 
@@ -168,7 +169,7 @@ def _m_t46_l2(y: int, k: int) -> Member:
     return _plus({y + 2 * k + 2, y + 2 * k + 4}, _ap(0, 3, k))
 
 
-def _m_t46_l3(y: int, k: int) -> Member:
+def _m_ap3_013(y: int, k: int) -> Member:
     # y + 2k + 3 + {0,1,3} + 3*[0,k]
     return _plus({y + 2 * k + 3, y + 2 * k + 4, y + 2 * k + 6}, _ap(0, 3, k))
 
@@ -184,7 +185,8 @@ def _m_t46_l4(y: int, k: int) -> Member:
     return _ap(y + 2 * k, 3, k) if k >= 1 else None
 
 
-def _m_t46_l5_int(y: int, k: int) -> Member:
+def _m_interval_2ceil(y: int, k: int) -> Member:
+    # y + 2*ceil(k/3) + [0,k], k >= 1, k != 3
     if k >= 1 and k != 3:
         m = y + 2 * _ceil(k, 3)
         return _iv(m, m + k)
@@ -195,15 +197,9 @@ def _m_i36(y: int, k: int) -> Member:
     return _iv(y + 3, y + 6) if k == 0 else None
 
 
-def _m_t46_l6(y: int, k: int) -> Member:
+def _m_ap3_023(y: int, k: int) -> Member:
+    # y + 2k + 3 + {0,2,3} + 3*[0,k]
     return _plus({y + 2 * k + 3, y + 2 * k + 5, y + 2 * k + 6}, _ap(0, 3, k))
-
-
-def _m_t47_l2_int(y: int, k: int) -> Member:
-    if k >= 1 and k != 3:
-        m = y + 2 * _ceil(k, 3)
-        return _iv(m, m + k)
-    return None
 
 
 def _m_t47_l2_odd(y: int, k: int) -> Member:
@@ -236,10 +232,6 @@ def _m_t48_l3_int(y: int, k: int) -> Member:
     return None
 
 
-def _m_t48_l3_w1(y: int, k: int) -> Member:
-    return _iv(y + 2, y + 3) if k == 0 else None
-
-
 def _m_t48_l6(y: int, k: int) -> Member:
     if k == 3 or k >= 5:
         base = y + 2 * _ceil(k, 3) + 2
@@ -247,18 +239,10 @@ def _m_t48_l6(y: int, k: int) -> Member:
     return None
 
 
-def _m_t48_l7a(y: int, k: int) -> Member:
-    return _plus({y + 2 * k + 3, y + 2 * k + 4, y + 2 * k + 6}, _ap(0, 3, k))
-
-
 def _m_t48_l7b(y: int, k: int) -> Member:
     return _plus({y + 2 * k + 4, y + 2 * k + 5, y + 2 * k + 7}, _ap(0, 3, k)) | {
         y + 5 * k + 8
     }
-
-
-def _m_t48_l8a(y: int, k: int) -> Member:
-    return _plus({y + 2 * k + 3, y + 2 * k + 5, y + 2 * k + 6}, _ap(0, 3, k))
 
 
 def _m_t48_l8b(y: int, k: int) -> Member:
@@ -416,10 +400,6 @@ def _t47_l5_base(k: int) -> dict[Element, int]:
 # ---------------------------------------------------------------------------
 
 
-def _branch(family, branch, group, formula, member_fn, witness_fn, sweep_ks):
-    return FamilyBranch(family, branch, group, formula, member_fn, witness_fn, sweep_ks)
-
-
 def _build_registry() -> tuple[FamilyBranch, ...]:
     B: list[FamilyBranch] = []
 
@@ -427,25 +407,25 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         return lambda y, k: Sequence.empty(group).with_zeros(y)
 
     # ---- Prop.-style families for the Davenport-4 groups ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C3C22", "c3", G3, "y + 2k + [0,k]",
         _m_interval_2k3,
         lambda y, k: _seq(G3, {_g3: 3 * k, _g3b: 3 * k}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C3C22", "c22", G22, "y + 2k + [0,k]",
         _m_interval_2k3,
         lambda y, k: _seq(G22, {_e22: 2 * k, _f22: 2 * k, _ef22: 2 * k}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C4", "L1", G4, "y + k + 1 + [0,k]",
         _m_c4_interval,
         lambda y, k: _seq(G4, {_g4: 4} if k == 0 else {_g4: 2 * k, _g4m: 2 * k, _g4two: 2}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C4", "L2", G4, "y + 2k + 2*[0,k]",
         _m_even_ap,
         lambda y, k: _seq(G4, {_g4: 4 * k, _g4m: 4 * k}, y),
@@ -453,19 +433,19 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
     _c23_short = [{_f1: 2}, {_f1: 2, _f2: 2, _f12: 2},
                   {_f1: 2, _f2: 2, _f3: 2, _f0: 2, _f12: 2}]
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C23", "L1", G23, "y + k + 1 + [0,k], k <= 2",
         _m_c23_short_interval,
         lambda y, k: _seq(G23, _c23_short[k], y),
         (0, 1, 2),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C23", "L2", G23, "y + k + [0,k], k >= 3",
         _m_c23_long_interval,
         lambda y, k: _seq(G23, _c23_long_base(k), y),
         (3, 4, 5, 6, 7, 8),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "P33-C23", "L3", G23, "y + 2k + 2*[0,k]",
         _m_even_ap,
         lambda y, k: _seq(G23, _scaled(_W1SQ, k), y),
@@ -473,16 +453,16 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
 
     # ---- C3+C3 ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T41", "L1", G33, "{y}", _m_singleton, zeros_witness(G33), (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T41", "L2", G33, "y + 2 + [0,1]",
-        _m_t41_pair,
+        _m_i23,
         lambda y, k: _seq(G33, {_a: 3, _ma: 3}, y),
         (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T41", "L3", G33, "y + ceil(2k/3) + [0,k], k >= 2",
         _m_t41_interval,
         lambda y, k: _seq(G33, _t41_interval_base(k), y),
@@ -490,46 +470,46 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
 
     # ---- C5 ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L1", G5, "{y}", _m_singleton, zeros_witness(G5), (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L2", G5, "y + 2k + 2 + {0,2} + 3*[0,k]",
         _m_t46_l2,
         lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 5, _g5mt: 5 * k + 3}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L3", G5, "y + 2k + 3 + {0,1,3} + 3*[0,k]",
-        _m_t46_l3,
+        _m_ap3_013,
         lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 7, _g5mt: 5 * k + 5}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L4", G5, "y + 2k + 3*[0,k], k >= 1",
         _m_t46_l4,
         lambda y, k: _seq(G5, {_g5: 5 * k, _g5m: 5 * k}, y),
         (1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L5", G5, "y + 2*ceil(k/3) + [0,k], k >= 1, k != 3",
-        _m_t46_l5_int,
+        _m_interval_2ceil,
         lambda y, k: _seq(G5, _t46_l5_base(k), y),
         (1, 2, 4, 5, 6, 7),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L5-36", G5, "y + [3,6]",
         _m_i36,
         lambda y, k: _seq(G5, {_g5t: 1, _g5mt: 1, _g5: 5, _g5m: 5}, y),
         (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L6", G5, "y + 2k + 3 + {0,2,3} + 3*[0,k]",
-        _m_t46_l6,
+        _m_ap3_023,
         lambda y, k: _seq(G5, {_g5: 5 * k + 8, _g5m: 5 * k + 5, _g5t: 1}, y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T46", "L7", G5, "y + 2k + 2 + {0,1} + 3*[0,k], k >= 1",
         _m_t46_l7,
         lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 2, _g5mt: 5 * k + 5}, y),
@@ -537,22 +517,22 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
 
     # ---- C2+C4 ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L1", G24, "{y}", _m_singleton, zeros_witness(G24), (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L2", G24, "y + 2*ceil(k/3) + [0,k], k >= 1, k != 3",
-        _m_t47_l2_int,
+        _m_interval_2ceil,
         lambda y, k: _seq(G24, _t47_l2_base(k), y),
         (1, 2, 4, 5, 6, 7),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L2-36", G24, "y + [3,6]",
         _m_i36,
         lambda y, k: _seq(G24, _merge(_U1, _MU1, {_E2G: 2}), y),
         (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L2-odd", G24, "[2t+1, 5t+2], t >= 1 (no shift)",
         _m_t47_l2_odd,
         lambda y, k: _seq(
@@ -560,13 +540,13 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         ),
         (1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L3", G24, "y + 2k + 2*[0,k], k >= 1",
         _m_t47_l3,
         lambda y, k: _seq(G24, {_G: 4 * k, _MG: 4 * k}, y),
         (1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L4", G24, "y + k + 1 + ({0} u [2,k+2]), k odd",
         _m_t47_l4,
         lambda y, k: _seq(
@@ -574,7 +554,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         ),
         (1, 3, 5),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T47", "L5", G24, "y + k + 2 + ([0,k] u {k+2}), k >= 1",
         _m_t47_l5,
         lambda y, k: _seq(G24, _t47_l5_base(k), y),
@@ -582,60 +562,60 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
 
     # ---- C2^4 ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L1", G2_4, "{y}", _m_singleton, zeros_witness(G2_4), (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L2", G2_4, "y + 2k + 3*[0,k]",
         lambda y, k: _ap(y + 2 * k, 3, k),
         lambda y, k: _seq(G2_4, _scaled(_U, 2 * k), y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L3", G2_4, "y + ceil(2k/3) + [0,k], k >= 2, k != 3",
         _m_t48_l3_int,
         lambda y, k: _seq(G2_4, _c24_interval_base(k), y),
         (2, 4, 5, 6, 7, 8, 9, 10),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L3-23", G2_4, "y + [2,3]",
-        _m_t48_l3_w1,
+        _m_i23,
         lambda y, k: _seq(G2_4, _c24_interval_base(1), y),
         (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L3-36", G2_4, "y + [3,6]",
         _m_i36,
         lambda y, k: _seq(G2_4, _c24_interval_base(3), y),
         (0,),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L4", G2_4, "y + 2k + 2*[0,k]",
         _m_even_ap,
         lambda y, k: _seq(G2_4, _scaled(_V, 2 * k), y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L5", G2_4, "y + k + 2 + ([0,k] u {k+2}), k >= 1",
         _m_t47_l5,
         lambda y, k: _seq(G2_4, _t48_l5_base(k), y),
         (1, 2, 3, 4),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L6", G2_4, "y + 2*ceil(k/3) + 2 + ({0} u [2,k+2]), k = 3 or k >= 5",
         _m_t48_l6,
         lambda y, k: _seq(G2_4, _t48_l6_base(k), y),
         (3, 5, 6, 7, 8),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L7a", G2_4, "y + 2k + 3 + {0,1,3} + 3*[0,k]",
-        _m_t48_l7a,
+        _m_ap3_013,
         lambda y, k: _seq(
             G2_4, _merge(_scaled(_U, 2 * k + 1), _V, {_E4: 2, _E0: 2}), y
         ),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L7b", G2_4, "y + 2k + 4 + {0,1,3} + 3*[0,k] u {y+5k+8}",
         _m_t48_l7b,
         lambda y, k: _seq(
@@ -643,13 +623,13 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         ),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L8a", G2_4, "y + 2k + 3 + {0,2,3} + 3*[0,k]",
-        _m_t48_l8a,
+        _m_ap3_023,
         lambda y, k: _seq(G2_4, _merge(_scaled(_U, 2 * k + 2), _V), y),
         (0, 1, 2, 3),
     ))
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T48", "L8b", G2_4, "y + 2k + 4 + {0,2,3} + 3*[0,k] u {y+5k+9}",
         _m_t48_l8b,
         lambda y, k: _seq(G2_4, _merge(_scaled(_U, 2 * k + 3), _V), y),
@@ -657,7 +637,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
 
     # ---- the universal intersection family ----
-    B.append(_branch(
+    B.append(FamilyBranch(
         "T36-INTERSECT", "", None, "y + 2k + [0,k] (every group of order >= 3)",
         _m_interval_2k3, None, (0, 1, 2, 3),
     ))

@@ -62,12 +62,56 @@ def mask_to_lengths(mask: int) -> Lengths:
 # -- the packed sweep -------------------------------------------------
 
 
-def _pack_layout(width: int, n_fields: int) -> int:
-    """Bits per field: values up to ``width`` plus one guard bit above them."""
-    bits = width.bit_length() + 1
-    if bits * n_fields > 600:  # keeps keys to a few machine words
-        raise ResourceLimitError("support too large for the packed sweep")
-    return bits
+class PackedLayout:
+    """Where each support element sits in a packed state.
+
+    Field i holds the multiplicity of ``support[i]`` in ``bits - 1`` value
+    bits, with one guard bit above them.  Every reader of a sweep goes
+    through this class for anything positional.
+    """
+
+    def __init__(
+        self, group: FiniteAbelianGroup, support: tuple[Element, ...], width: int
+    ):
+        bits = width.bit_length() + 1  # values up to width, then the guard bit
+        if bits * len(support) > 600:  # keeps keys to a few machine words
+            raise ResourceLimitError("support too large for the packed sweep")
+        self.group = group
+        self.support = support
+        self.bits = bits
+        self._pos = {g: i * bits for i, g in enumerate(support)}
+        self.guard = sum(1 << (p + bits - 1) for p in self._pos.values())
+        # a field plus 2^(bits-1) - 1 carries into its guard bit iff it is nonzero
+        self._fill = self.guard - (self.guard >> (bits - 1))
+
+    def pack(self, pairs: Iterable[tuple[Element, int]]) -> int:
+        """The state holding multiplicity m of g for each pair (g, m)."""
+        return sum(m << self._pos[g] for g, m in pairs)
+
+    def unpack(self, state: int) -> Sequence:
+        field = (1 << self.bits) - 1
+        pairs = []
+        for g in self.support:
+            if state & field:
+                pairs.append((g, state & field))
+            state >>= self.bits
+        return Sequence.build(self.group, pairs)
+
+    def support_key(self, state: int) -> int:
+        """The support of a state, as one guard bit per nonzero field."""
+        return (state + self._fill) & self.guard
+
+    def key_indices(self, key: int) -> int:
+        """A support key as a bitmask over support indices."""
+        return sum(
+            1 << i
+            for i in range(len(self.support))
+            if key >> (i * self.bits + self.bits - 1) & 1
+        )
+
+    def lowest_field(self, state: int) -> int:
+        """Index of the lowest nonzero field; -1 for the empty state."""
+        return ((state & -state).bit_length() - 1) // self.bits
 
 
 def packed_sweep(
@@ -76,8 +120,8 @@ def packed_sweep(
     caps: list[int],
     limit: int,
     counter: NodeCounter,
-) -> tuple[int, Iterator[dict[int, int]]]:
-    """Field width and the levels 0..limit of the capped sweep over ``support``.
+) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
+    """The layout and the levels 0..limit of the capped sweep over ``support``.
 
     Level s maps each packed zero-sum multiset of size s, with multiplicity
     at most ``caps[i]`` of ``support[i]``, to its length bitmask.  Levels are
@@ -85,26 +129,19 @@ def packed_sweep(
     keeps only what it stores.  ``counter`` ticks once per state expanded.
     """
     catalog = enumerate_atoms(group, support)
-    bits = _pack_layout(max(caps, default=0) + catalog.davenport, len(support))
-    pos = {g: i * bits for i, g in enumerate(support)}
-    guard = sum(1 << (p + bits - 1) for p in pos.values())
-    ceiling = guard | sum(c << p for c, p in zip(caps, pos.values()))
+    layout = PackedLayout(group, support, max(caps, default=0) + catalog.davenport)
+    ceiling = layout.guard | layout.pack(zip(support, caps))
     atoms = sorted(
-        (a.length, sum(m << pos[g] for g, m in a.items))
-        for a in catalog
-        if a.length <= limit
+        (a.length, layout.pack(a.items)) for a in catalog if a.length <= limit
     )
+    lows = [layout.lowest_field(ak) for _, ak in atoms]
     # by_pivot[i]: the atoms whose lowest field is at most i, shortest first
     by_pivot = [
-        [(alen, ak) for alen, ak in atoms if _lowest_field(ak, bits) <= i]
+        [atom for atom, low in zip(atoms, lows) if low <= i]
         for i in range(max(len(support), 1))
     ]
-    return bits, _levels(by_pivot, bits, ceiling, guard, limit, counter)
-
-
-def _lowest_field(state: int, bits: int) -> int:
-    """Index of the lowest nonzero field; -1 for the empty state."""
-    return ((state & -state).bit_length() - 1) // bits
+    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit, counter)
+    return layout, levels
 
 
 def _levels(by_pivot, bits, ceiling, guard, limit, counter):
@@ -127,7 +164,7 @@ def _levels(by_pivot, bits, ceiling, guard, limit, counter):
         ]
         for state, mask in cur.items():
             shifted = mask << 1
-            # _lowest_field inlined; the empty state's -1 picks the last list
+            # lowest_field inlined; the empty state's -1 picks the last list
             for ak, tgt in pushes[((state & -state).bit_length() - 1) // bits]:
                 nk = state + ak
                 if (ceiling - nk) & guard == guard:  # every field within its cap
@@ -164,19 +201,21 @@ class LengthEngine:
     def _sweep_mask(self, core: tuple) -> int:
         """Length bitmask of the core by a sweep capped at its multiplicities.
 
-        The budget covers this one sweep.
+        The top level of that sweep holds one state, the core itself.  The
+        budget covers this one sweep.
         """
         caps = [m for _, m in core]
         counter = NodeCounter()
         try:
-            bits, levels = packed_sweep(
+            _, levels = packed_sweep(
                 self.group, tuple(g for g, _ in core), caps, sum(caps), counter
             )
-            for top in levels:  # the last level, of size |core|, holds the core
+            for top in levels:
                 pass
         finally:
             self.nodes += counter.count
-        return top[sum(m << (i * bits) for i, m in enumerate(caps))]
+        (mask,) = top.values()
+        return mask
 
     def max_length_with_length2_atom(self, seq: Sequence, atom2: Sequence) -> int:
         """max L(B) computed as 1 + max L(B / A1) for a dividing length-2 atom.

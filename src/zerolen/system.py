@@ -1,8 +1,9 @@
 """Bounded systems of sets of lengths and the system-level invariants.
 
 The enumeration core is the packed forward sweep of ``lengths`` with every
-field capped at the length bound: a state is a zero-sum multiset, its value
-the bitmask of factorization lengths.  Every result at this level is a
+multiplicity capped at the length bound: a state is a zero-sum multiset, its
+value the bitmask of factorization lengths.  Each reader consumes the sweep
+in one pass and keeps only what it needs.  Every result at this level is a
 bounded certificate: it speaks about all zero-sum sequences up to the stated
 length bound, never about the full infinite system.
 """
@@ -23,8 +24,6 @@ from .sequences import Sequence
 
 Lengths = tuple[int, ...]
 
-_SWEEPS: dict[tuple, tuple[int, list[dict[int, int]]]] = {}
-
 
 def default_bound(group: FiniteAbelianGroup) -> int:
     """Default enumeration bound per group order (tunable by every caller)."""
@@ -35,40 +34,6 @@ def default_bound(group: FiniteAbelianGroup) -> int:
     if group.order <= 16:
         return 12
     return 10
-
-
-# ---------------------------------------------------------------------------
-# the bounded sweep
-# ---------------------------------------------------------------------------
-
-
-def _sweep(
-    group: FiniteAbelianGroup, support: tuple[Element, ...], bound: int
-) -> tuple[int, list[dict[int, int]]]:
-    """Field width and levels[s]: packed zero-sum multisets of size s -> masks."""
-    key = (group.invariant_factors, support, bound)
-    cached = _SWEEPS.get(key)
-    if cached is None:
-        bits, levels = packed_sweep(
-            group, support, [bound] * len(support), bound, NodeCounter()
-        )
-        cached = _SWEEPS[key] = (bits, list(levels))
-    return cached
-
-
-def _unpack(
-    group: FiniteAbelianGroup,
-    support: tuple[Element, ...],
-    bits: int,
-    state: int,
-) -> Sequence:
-    field = (1 << bits) - 1
-    pairs = []
-    for i, g in enumerate(support):
-        m = (state >> (i * bits)) & field
-        if m:
-            pairs.append((g, m))
-    return Sequence.build(group, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +91,8 @@ def bounded_system(
     )
     with_zero = group.zero in elems
     support = tuple(g for g in elems if g != group.zero)
-    bits, levels = _sweep(group, support, bound)
+    caps = [bound] * len(support)
+    layout, levels = packed_sweep(group, support, caps, bound, NodeCounter())
 
     best: dict[int, tuple[int, int]] = {}  # mask -> (size, state)
     for size, level in enumerate(levels):
@@ -147,7 +113,7 @@ def bounded_system(
         SystemEntry(
             lengths,
             size + y,
-            _unpack(group, support, bits, state).with_zeros(y),
+            layout.unpack(state).with_zeros(y),
         )
         for lengths, (size, state, y) in sorted(chosen.items())
     )
@@ -191,9 +157,7 @@ def _rho_k_from_system(system: BoundedSystem, k: int):
     return best, best_entry, best_shift
 
 
-def rho_k(
-    group: FiniteAbelianGroup, k: int, bound: int | None = None
-) -> RhoKCertificate:
+def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     """Largest max L over bounded length sets containing k, as a certificate.
 
     When the complete sweep up to k*D(G) is affordable the value is exact by
@@ -208,8 +172,6 @@ def rho_k(
         return RhoKCertificate(k, k, True, "sweep", 0, None, None)
     D = enumerate_atoms(group).davenport
     need = k * D
-    if bound is not None and bound < need:
-        raise ValueError(f"bound {bound} is below the exhaustive requirement {need}")
     m = len(group.nonzero_elements)
     est = math.comb(need + m, m) // group.order
     cap = (k * D) // 2
@@ -281,30 +243,24 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
     if bound is None:
         bound = default_bound(group)
     support = group.nonzero_elements
-    m = len(support)
-    bits, levels = _sweep(group, support, bound)
-    field = (1 << bits) - 1
+    caps = [bound] * len(support)
+    layout, levels = packed_sweep(group, support, caps, bound, NodeCounter())
 
     dist_of_mask: dict[int, int] = {}
-    by_support = [0] * (1 << m)
+    by_key: dict[int, int] = {}  # support key -> union of its distance masks
     for level in levels:
         for state, mask in level.items():
             d = dist_of_mask.get(mask)
             if d is None:
-                d = _distance_mask(mask)
-                dist_of_mask[mask] = d
-            if d == 0:
-                continue
-            smask = 0
-            st = state
-            i = 0
-            while st:
-                if st & field:
-                    smask |= 1 << i
-                st >>= bits
-                i += 1
-            by_support[smask] |= d
+                d = dist_of_mask[mask] = _distance_mask(mask)
+            if d:
+                key = layout.support_key(state)
+                by_key[key] = by_key.get(key, 0) | d
 
+    m = len(support)
+    by_support = [0] * (1 << m)
+    for key, d in by_key.items():
+        by_support[layout.key_indices(key)] = d
     for i in range(m):
         bit = 1 << i
         for s in range(1 << m):

@@ -73,10 +73,15 @@ def naive_atoms(group: FiniteAbelianGroup, subset, max_len: int):
 _ATOM_CACHE: dict = {}
 
 
-def _cached_atoms(group: FiniteAbelianGroup, support, max_len: int):
-    key = (group.invariant_factors, tuple(sorted(support)), max_len)
+def _group_atoms(group: FiniteAbelianGroup):
+    """Every atom of the group, enumerated once.
+
+    No atom is longer than |G|: among the |G| + 1 prefix sums of a longer
+    sequence two agree, so it has a proper zero-sum subsequence.
+    """
+    key = group.invariant_factors
     if key not in _ATOM_CACHE:
-        _ATOM_CACHE[key] = naive_atoms(group, support, max_len)
+        _ATOM_CACHE[key] = naive_atoms(group, group.elements, group.order)
     return _ATOM_CACHE[key]
 
 
@@ -84,7 +89,8 @@ def naive_lengths(group: FiniteAbelianGroup, seq: Sequence) -> tuple[int, ...]:
     """All factorization lengths by exhaustive multiset-of-atoms search."""
     if seq.length == 0:
         return (0,)
-    atoms = _cached_atoms(group, seq.support, min(seq.length, group.order))
+    # an atom of a factorization of B divides B
+    atoms = [a for a in _group_atoms(group) if a.divides(seq)]
     out: set[int] = set()
 
     def rec(rest: Sequence, start: int, depth: int):

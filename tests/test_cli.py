@@ -69,3 +69,15 @@ def test_json_determinism(capsys):
     _, second = run(capsys, "system", "3", "--max-len", "8", "--json")
     assert first == second
 
+
+
+def test_node_budget_exit_code(capsys, monkeypatch):
+    import zerolen.lengths
+
+    # fresh engines, so that no memo filled by an earlier test answers the query
+    monkeypatch.setattr(zerolen.lengths, "_ENGINES", {})
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "10")
+    code = main(["lengths", "5", "(1)^5*(2)^5*(3)^5*(4)^5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -8,14 +9,20 @@ from zerolen import (
     compare_systems,
     delta_star,
     engine_for,
+    enumerate_atoms,
     make_group,
     observed_delta,
     rho_k,
 )
-from zerolen.lengths import mask_to_lengths
-from zerolen.system import _sweep, _unpack
+from zerolen.budget import NodeCounter
+from zerolen.lengths import mask_to_lengths, packed_sweep
 
 from oracles import naive_lengths
+
+
+def _bounded_sweep(G, bound):
+    support = G.nonzero_elements
+    return packed_sweep(G, support, [bound] * len(support), bound, NodeCounter())
 
 
 def test_bounded_system_examples():
@@ -69,14 +76,31 @@ def test_sweep_masks_agree_with_engine():
     # the sweep is the length engine; check every state of a bounded sweep
     # against the exhaustive factorization search of the test oracle
     G = make_group([2, 2])
-    bits, levels = _sweep(G, G.nonzero_elements, 10)
+    layout, levels = _bounded_sweep(G, 10)
     checked = 0
     for level in levels:
         for state, mask in level.items():
-            seq = _unpack(G, G.nonzero_elements, bits, state)
+            seq = layout.unpack(state)
             assert naive_lengths(G, seq) == mask_to_lengths(mask)
             checked += 1
     assert checked > 50
+
+
+def test_support_key_matches_unpacked_support():
+    G = make_group([2, 4])
+    layout, levels = _bounded_sweep(G, 8)
+    keys = {}
+    checked = 0
+    for level in levels:
+        for state in level:
+            support = layout.unpack(state).support
+            indices = sum(1 << G.nonzero_elements.index(g) for g in support)
+            key = layout.support_key(state)
+            assert layout.key_indices(key) == indices
+            assert keys.setdefault(key, support) == support
+            checked += 1
+    # every subset of the support occurs, the empty one included
+    assert checked > 500 and len(keys) == 2 ** len(G.nonzero_elements)
 
 
 def test_observed_delta_values(acceptance_systems):
@@ -103,6 +127,33 @@ def test_delta_star_small_groups():
     assert delta_star(make_group([2, 4])) == (1, 2)
 
 
+@pytest.mark.parametrize("factors, bound", [([2, 4], 10), ([2, 2, 2], 10), ([5], 14)])
+def test_delta_star_is_min_observed_delta_over_subsets(factors, bound):
+    # the zeta transform over supports against one bounded system per subset
+    G = make_group(factors)
+    elems = G.nonzero_elements
+    expected = set()
+    for pick in range(1, 1 << len(elems)):
+        subset = [g for i, g in enumerate(elems) if pick >> i & 1]
+        observed = observed_delta(bounded_system(G, subset, bound))
+        if observed:
+            expected.add(observed[0])
+    assert delta_star(G, bound) == tuple(sorted(expected))
+
+
+def test_no_sweep_level_outlives_bounded_system():
+    G = make_group([2, 2, 2, 2])
+    enumerate_atoms(G)  # the atom catalog is a cache of its own
+    tracemalloc.start()
+    try:
+        system = bounded_system(G, None, 8)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(system) > 0
+    assert held < 1_000_000
+
+
 def test_compare_self_inclusion():
     g4 = make_group([4])
     s = bounded_system(g4, g4.elements, 16)
@@ -120,11 +171,9 @@ def test_intersection_single_group_is_that_system():
 
 
 def test_node_budget_cap_is_honored(monkeypatch):
-    import zerolen.system as system_mod
     from zerolen.budget import ResourceLimitError
 
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "50")
-    system_mod._SWEEPS.clear()
     with pytest.raises(ResourceLimitError):
         bounded_system(make_group([2, 4]), None, 14)
 
