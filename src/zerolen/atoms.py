@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
+from .budget import NodeCounter
 from .groups import Element, FiniteAbelianGroup
 from .sequences import Sequence
 
@@ -51,20 +52,28 @@ class AtomCatalog:
 def _minimal_zero_sums(
     group: FiniteAbelianGroup, elems: tuple[Element, ...]
 ) -> list[tuple[tuple[Element, int], ...]]:
-    """All minimal zero-sum multisets over the ordered nonzero elements."""
+    """All minimal zero-sum multisets over the ordered nonzero elements.
+
+    One node per walk call, under a fresh budget.
+    """
     zero = group.zero
     add = group.add
     m = len(elems)
     maxlen = group.order  # Davenport upper bound D(G) <= |G|
     out: list[tuple[tuple[Element, int], ...]] = []
     counts = [0] * m
+    shifted: list[dict[Element, Element]] = [{} for _ in elems]  # s -> s + elems[i]
+    tick = NodeCounter().tick
 
     def walk(start: int, reach: dict[Element, int], size: int) -> None:
+        tick()
         for i in range(start, m):
-            g = elems[i]
+            g, plus = elems[i], shifted[i]
             new = dict(reach)
             for s, mask in reach.items():
-                t = add(s, g)
+                t = plus.get(s)
+                if t is None:
+                    t = plus[s] = add(s, g)
                 new[t] = new.get(t, 0) | (mask << 1)
             hit = new.get(zero, 0) & ~1
             if hit == 0:
@@ -99,8 +108,6 @@ def enumerate_atoms(
         elems = tuple(
             sorted({group.validate(g) for g in subset}, key=group.index)
         )
-    if not elems and subset is not None and group.rank > 0:
-        pass  # empty subset is legal; catalog is empty unless zero is present
     key = (group.invariant_factors, elems)
     cached = _CATALOGS.get(key)
     if cached is not None:

@@ -1,9 +1,11 @@
 """Closed-form length-set families and the sequences that realize them.
 
-Each family is a list of branches; a branch owns a member formula over the
-parameters (y, k), a parameter domain, and a constructor producing a concrete
-witness sequence whose length set must equal the member.  Families are data,
-so they can be listed, matched against, and swept generically.
+Every family is a list of branches y + base(k), y >= 0.  Because
+L(0^y B) = y + L(B), a branch is plain data at y = 0: ``member_fn(k)`` gives
+the base member (None outside the parameter domain) and ``witness_fn(k)`` the
+multiset B_k realizing it.  ``FamilyBranch`` alone applies the shift
+(member + y, B_k times 0^y) and walks k (``bases``), so the tables can be
+listed, matched against and swept generically.
 
 Family ids follow the scheme ``<catalog>-L<i>`` with a branch tag where a
 single list item splits into cases (interval residues, parity and the like).
@@ -49,11 +51,6 @@ def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _seq(group: FiniteAbelianGroup, counts: dict[Element, int], zeros: int = 0) -> Sequence:
-    s = Sequence.build(group, counts)
-    return s.with_zeros(zeros)
-
-
 def _merge(*parts: dict[Element, int]) -> dict[Element, int]:
     out: dict[Element, int] = {}
     for p in parts:
@@ -80,18 +77,22 @@ class FamilyBranch:
     branch: str
     group: Optional[FiniteAbelianGroup]
     formula: str
-    member_fn: Callable[[int, int], Member]
-    witness_fn: Optional[Callable[[int, int], Sequence]]
+    member_fn: Callable[[int], Member]
+    witness_fn: Optional[Callable[[int], dict[Element, int]]]
     sweep_ks: tuple[int, ...] = ()
+    shifts: bool = True  # False: the branch is defined at y = 0 only
 
     @property
     def id(self) -> str:
         return self.family if self.branch == "" else f"{self.family}:{self.branch}"
 
     def try_member(self, y: int, k: int) -> Member:
-        if y < 0 or k < 0:
+        if y < 0 or k < 0 or (y and not self.shifts):
             return None
-        return self.member_fn(y, k)
+        base = self.member_fn(k)
+        if base is None or y == 0:
+            return base
+        return frozenset(v + y for v in base)
 
     def member(self, y: int = 0, k: int = 0) -> frozenset[int]:
         m = self.try_member(y, k)
@@ -105,150 +106,147 @@ class FamilyBranch:
         self.member(y, k)  # domain check
         if self.witness_fn is None:
             raise ValueError(f"{self.id} has no witness constructor bound to a group")
-        return self.witness_fn(y, k)
+        return Sequence.build(self.group, self.witness_fn(k)).with_zeros(y)
+
+    def bases(self, top: int) -> Iterator[tuple[int, frozenset[int]]]:
+        """(k, base member) for every k whose base has min <= top, k ascending.
+
+        min(base) never decreases with k, so the walk stops at the first base
+        past top, or once k > 3*top + 8 while k is outside the domain.
+        """
+        k = 0
+        while True:
+            base = self.member_fn(k)
+            if base is None:
+                if k > 3 * top + 8:
+                    return
+            elif min(base) > top:
+                return
+            else:
+                yield k, base
+            k += 1
 
     def matches(self, lengths: Iterable[int]) -> Iterator[FamilyMatch]:
         L = frozenset(lengths)
         if not L:
             return
-        lo, hi = min(L), max(L)
-        for k in range(0, hi - lo + 4):
-            base = self.try_member(0, k)
-            if base is None:
-                continue
+        lo = min(L)
+        for k, base in self.bases(lo):
             y = lo - min(base)
-            if y < 0:
-                continue
             if self.try_member(y, k) == L:
                 yield FamilyMatch(self.family, self.branch, y, k)
 
 
 # ---------------------------------------------------------------------------
-# member formulas
+# member formulas at y = 0
 # ---------------------------------------------------------------------------
 
 
-def _m_singleton(y: int, k: int) -> Member:
-    return frozenset({y}) if k == 0 else None
+def _m_singleton(k: int) -> Member:
+    return frozenset({0}) if k == 0 else None
 
 
-def _m_interval_2k3(y: int, k: int) -> Member:
-    # y + 2k + [0, k]
-    return _iv(y + 2 * k, y + 3 * k)
+def _m_interval_2k3(k: int) -> Member:
+    return _iv(2 * k, 3 * k)
 
 
-def _m_c4_interval(y: int, k: int) -> Member:
-    # y + k + 1 + [0, k]
-    return _iv(y + k + 1, y + 2 * k + 1)
+def _m_c4_interval(k: int) -> Member:
+    return _iv(k + 1, 2 * k + 1)
 
 
-def _m_even_ap(y: int, k: int) -> Member:
-    # y + 2k + 2*[0, k]
-    return _ap(y + 2 * k, 2, k)
+def _m_even_ap(k: int) -> Member:
+    return _ap(2 * k, 2, k)
 
 
-def _m_c23_short_interval(y: int, k: int) -> Member:
-    return _iv(y + k + 1, y + 2 * k + 1) if k <= 2 else None
+def _m_c23_short_interval(k: int) -> Member:
+    return _m_c4_interval(k) if k <= 2 else None
 
 
-def _m_c23_long_interval(y: int, k: int) -> Member:
-    return _iv(y + k, y + 2 * k) if k >= 3 else None
+def _m_c23_long_interval(k: int) -> Member:
+    return _iv(k, 2 * k) if k >= 3 else None
 
 
-def _m_i23(y: int, k: int) -> Member:
-    # y + [2,3]
-    return _iv(y + 2, y + 3) if k == 0 else None
+def _m_i23(k: int) -> Member:
+    return _iv(2, 3) if k == 0 else None
 
 
-def _m_t41_interval(y: int, k: int) -> Member:
-    return _iv(y + _ceil(2 * k, 3), y + _ceil(2 * k, 3) + k) if k >= 2 else None
-
-
-def _m_t46_l2(y: int, k: int) -> Member:
-    # y + 2k + 2 + {0,2} + 3*[0,k]
-    return _plus({y + 2 * k + 2, y + 2 * k + 4}, _ap(0, 3, k))
-
-
-def _m_ap3_013(y: int, k: int) -> Member:
-    # y + 2k + 3 + {0,1,3} + 3*[0,k]
-    return _plus({y + 2 * k + 3, y + 2 * k + 4, y + 2 * k + 6}, _ap(0, 3, k))
-
-
-def _m_t46_l7(y: int, k: int) -> Member:
-    # y + 2k + 2 + {0,1} + 3*[0,k], k >= 1
-    if k >= 1:
-        return _plus({y + 2 * k + 2, y + 2 * k + 3}, _ap(0, 3, k))
+def _m_t41_interval(k: int) -> Member:
+    if k >= 2:
+        m = _ceil(2 * k, 3)
+        return _iv(m, m + k)
     return None
 
 
-def _m_t46_l4(y: int, k: int) -> Member:
-    return _ap(y + 2 * k, 3, k) if k >= 1 else None
+def _m_t46_l2(k: int) -> Member:
+    return _plus({2 * k + 2, 2 * k + 4}, _ap(0, 3, k))
 
 
-def _m_interval_2ceil(y: int, k: int) -> Member:
-    # y + 2*ceil(k/3) + [0,k], k >= 1, k != 3
+def _m_ap3_013(k: int) -> Member:
+    return _plus({2 * k + 3, 2 * k + 4, 2 * k + 6}, _ap(0, 3, k))
+
+
+def _m_t46_l7(k: int) -> Member:
+    return _plus({2 * k + 2, 2 * k + 3}, _ap(0, 3, k)) if k >= 1 else None
+
+
+def _m_ap3(k: int) -> Member:
+    return _ap(2 * k, 3, k)
+
+
+def _m_t46_l4(k: int) -> Member:
+    return _m_ap3(k) if k >= 1 else None
+
+
+def _m_interval_2ceil(k: int) -> Member:
     if k >= 1 and k != 3:
-        m = y + 2 * _ceil(k, 3)
+        m = 2 * _ceil(k, 3)
         return _iv(m, m + k)
     return None
 
 
-def _m_i36(y: int, k: int) -> Member:
-    return _iv(y + 3, y + 6) if k == 0 else None
+def _m_i36(k: int) -> Member:
+    return _iv(3, 6) if k == 0 else None
 
 
-def _m_ap3_023(y: int, k: int) -> Member:
-    # y + 2k + 3 + {0,2,3} + 3*[0,k]
-    return _plus({y + 2 * k + 3, y + 2 * k + 5, y + 2 * k + 6}, _ap(0, 3, k))
+def _m_ap3_023(k: int) -> Member:
+    return _plus({2 * k + 3, 2 * k + 5, 2 * k + 6}, _ap(0, 3, k))
 
 
-def _m_t47_l2_odd(y: int, k: int) -> Member:
-    # [2t+1, 5t+2], no shift parameter
-    return _iv(2 * k + 1, 5 * k + 2) if (y == 0 and k >= 1) else None
+def _m_t47_l2_odd(k: int) -> Member:
+    return _iv(2 * k + 1, 5 * k + 2) if k >= 1 else None
 
 
-def _m_t47_l3(y: int, k: int) -> Member:
-    return _ap(y + 2 * k, 2, k) if k >= 1 else None
+def _m_t47_l3(k: int) -> Member:
+    return _m_even_ap(k) if k >= 1 else None
 
 
-def _m_t47_l4(y: int, k: int) -> Member:
-    # y + k + 1 + ({0} u [2, k+2]), k odd
+def _m_t47_l4(k: int) -> Member:
     if k >= 1 and k % 2 == 1:
-        return frozenset({y + k + 1}) | _iv(y + k + 3, y + 2 * k + 3)
+        return frozenset({k + 1}) | _iv(k + 3, 2 * k + 3)
     return None
 
 
-def _m_t47_l5(y: int, k: int) -> Member:
-    # y + k + 2 + ([0, k] u {k+2})
-    if k >= 1:
-        return _iv(y + k + 2, y + 2 * k + 2) | {y + 2 * k + 4}
-    return None
+def _m_t47_l5(k: int) -> Member:
+    return _iv(k + 2, 2 * k + 2) | {2 * k + 4} if k >= 1 else None
 
 
-def _m_t48_l3_int(y: int, k: int) -> Member:
-    if k >= 2 and k != 3:
-        m = y + _ceil(2 * k, 3)
-        return _iv(m, m + k)
-    return None
+def _m_t48_l3_int(k: int) -> Member:
+    return _m_t41_interval(k) if k != 3 else None
 
 
-def _m_t48_l6(y: int, k: int) -> Member:
+def _m_t48_l6(k: int) -> Member:
     if k == 3 or k >= 5:
-        base = y + 2 * _ceil(k, 3) + 2
+        base = 2 * _ceil(k, 3) + 2
         return frozenset({base}) | _iv(base + 2, base + k + 2)
     return None
 
 
-def _m_t48_l7b(y: int, k: int) -> Member:
-    return _plus({y + 2 * k + 4, y + 2 * k + 5, y + 2 * k + 7}, _ap(0, 3, k)) | {
-        y + 5 * k + 8
-    }
+def _m_t48_l7b(k: int) -> Member:
+    return _plus({2 * k + 4, 2 * k + 5, 2 * k + 7}, _ap(0, 3, k)) | {5 * k + 8}
 
 
-def _m_t48_l8b(y: int, k: int) -> Member:
-    return _plus({y + 2 * k + 4, y + 2 * k + 6, y + 2 * k + 7}, _ap(0, 3, k)) | {
-        y + 5 * k + 9
-    }
+def _m_t48_l8b(k: int) -> Member:
+    return _plus({2 * k + 4, 2 * k + 6, 2 * k + 7}, _ap(0, 3, k)) | {5 * k + 9}
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +268,8 @@ _f0, _f12, _f13, _f23 = (1, 1, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)
 _B3C = {_f1: 2, _f2: 2, _f3: 2, _f0: 2, _f13: 2, _f23: 2}
 _B4C = {_f1: 4, _f2: 2, _f3: 2, _f0: 2, _f12: 2, _f13: 2, _f23: 2}
 _W1SQ = {_f1: 2, _f2: 2, _f3: 2, _f0: 2}
+_C23_SHORT = ({_f1: 2}, {_f1: 2, _f2: 2, _f12: 2},
+              {_f1: 2, _f2: 2, _f3: 2, _f0: 2, _f12: 2})
 
 # C3^2
 _a, _b, _ab = (1, 0), (0, 1), (1, 1)
@@ -400,239 +400,231 @@ def _t47_l5_base(k: int) -> dict[Element, int]:
 # ---------------------------------------------------------------------------
 
 
+def _no_terms(k: int) -> dict[Element, int]:
+    return {}
+
+
 def _build_registry() -> tuple[FamilyBranch, ...]:
     B: list[FamilyBranch] = []
-
-    def zeros_witness(group):
-        return lambda y, k: Sequence.empty(group).with_zeros(y)
 
     # ---- Prop.-style families for the Davenport-4 groups ----
     B.append(FamilyBranch(
         "P33-C3C22", "c3", G3, "y + 2k + [0,k]",
         _m_interval_2k3,
-        lambda y, k: _seq(G3, {_g3: 3 * k, _g3b: 3 * k}, y),
+        lambda k: {_g3: 3 * k, _g3b: 3 * k},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "P33-C3C22", "c22", G22, "y + 2k + [0,k]",
         _m_interval_2k3,
-        lambda y, k: _seq(G22, {_e22: 2 * k, _f22: 2 * k, _ef22: 2 * k}, y),
+        lambda k: {_e22: 2 * k, _f22: 2 * k, _ef22: 2 * k},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "P33-C4", "L1", G4, "y + k + 1 + [0,k]",
         _m_c4_interval,
-        lambda y, k: _seq(G4, {_g4: 4} if k == 0 else {_g4: 2 * k, _g4m: 2 * k, _g4two: 2}, y),
+        lambda k: {_g4: 4} if k == 0 else {_g4: 2 * k, _g4m: 2 * k, _g4two: 2},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "P33-C4", "L2", G4, "y + 2k + 2*[0,k]",
         _m_even_ap,
-        lambda y, k: _seq(G4, {_g4: 4 * k, _g4m: 4 * k}, y),
+        lambda k: {_g4: 4 * k, _g4m: 4 * k},
         (0, 1, 2, 3),
     ))
-    _c23_short = [{_f1: 2}, {_f1: 2, _f2: 2, _f12: 2},
-                  {_f1: 2, _f2: 2, _f3: 2, _f0: 2, _f12: 2}]
     B.append(FamilyBranch(
         "P33-C23", "L1", G23, "y + k + 1 + [0,k], k <= 2",
         _m_c23_short_interval,
-        lambda y, k: _seq(G23, _c23_short[k], y),
+        _C23_SHORT.__getitem__,
         (0, 1, 2),
     ))
     B.append(FamilyBranch(
         "P33-C23", "L2", G23, "y + k + [0,k], k >= 3",
         _m_c23_long_interval,
-        lambda y, k: _seq(G23, _c23_long_base(k), y),
+        _c23_long_base,
         (3, 4, 5, 6, 7, 8),
     ))
     B.append(FamilyBranch(
         "P33-C23", "L3", G23, "y + 2k + 2*[0,k]",
         _m_even_ap,
-        lambda y, k: _seq(G23, _scaled(_W1SQ, k), y),
+        lambda k: _scaled(_W1SQ, k),
         (0, 1, 2, 3),
     ))
 
     # ---- C3+C3 ----
     B.append(FamilyBranch(
-        "T41", "L1", G33, "{y}", _m_singleton, zeros_witness(G33), (0,),
+        "T41", "L1", G33, "{y}", _m_singleton, _no_terms, (0,),
     ))
     B.append(FamilyBranch(
         "T41", "L2", G33, "y + 2 + [0,1]",
         _m_i23,
-        lambda y, k: _seq(G33, {_a: 3, _ma: 3}, y),
+        lambda k: {_a: 3, _ma: 3},
         (0,),
     ))
     B.append(FamilyBranch(
         "T41", "L3", G33, "y + ceil(2k/3) + [0,k], k >= 2",
         _m_t41_interval,
-        lambda y, k: _seq(G33, _t41_interval_base(k), y),
+        _t41_interval_base,
         (2, 3, 4, 5, 6, 7),
     ))
 
     # ---- C5 ----
     B.append(FamilyBranch(
-        "T46", "L1", G5, "{y}", _m_singleton, zeros_witness(G5), (0,),
+        "T46", "L1", G5, "{y}", _m_singleton, _no_terms, (0,),
     ))
     B.append(FamilyBranch(
         "T46", "L2", G5, "y + 2k + 2 + {0,2} + 3*[0,k]",
         _m_t46_l2,
-        lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 5, _g5mt: 5 * k + 3}, y),
+        lambda k: {_g5: 1, _g5t: 5 * k + 5, _g5mt: 5 * k + 3},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T46", "L3", G5, "y + 2k + 3 + {0,1,3} + 3*[0,k]",
         _m_ap3_013,
-        lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 7, _g5mt: 5 * k + 5}, y),
+        lambda k: {_g5: 1, _g5t: 5 * k + 7, _g5mt: 5 * k + 5},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T46", "L4", G5, "y + 2k + 3*[0,k], k >= 1",
         _m_t46_l4,
-        lambda y, k: _seq(G5, {_g5: 5 * k, _g5m: 5 * k}, y),
+        lambda k: {_g5: 5 * k, _g5m: 5 * k},
         (1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T46", "L5", G5, "y + 2*ceil(k/3) + [0,k], k >= 1, k != 3",
         _m_interval_2ceil,
-        lambda y, k: _seq(G5, _t46_l5_base(k), y),
+        _t46_l5_base,
         (1, 2, 4, 5, 6, 7),
     ))
     B.append(FamilyBranch(
         "T46", "L5-36", G5, "y + [3,6]",
         _m_i36,
-        lambda y, k: _seq(G5, {_g5t: 1, _g5mt: 1, _g5: 5, _g5m: 5}, y),
+        lambda k: {_g5t: 1, _g5mt: 1, _g5: 5, _g5m: 5},
         (0,),
     ))
     B.append(FamilyBranch(
         "T46", "L6", G5, "y + 2k + 3 + {0,2,3} + 3*[0,k]",
         _m_ap3_023,
-        lambda y, k: _seq(G5, {_g5: 5 * k + 8, _g5m: 5 * k + 5, _g5t: 1}, y),
+        lambda k: {_g5: 5 * k + 8, _g5m: 5 * k + 5, _g5t: 1},
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T46", "L7", G5, "y + 2k + 2 + {0,1} + 3*[0,k], k >= 1",
         _m_t46_l7,
-        lambda y, k: _seq(G5, {_g5: 1, _g5t: 5 * k + 2, _g5mt: 5 * k + 5}, y),
+        lambda k: {_g5: 1, _g5t: 5 * k + 2, _g5mt: 5 * k + 5},
         (1, 2, 3),
     ))
 
     # ---- C2+C4 ----
     B.append(FamilyBranch(
-        "T47", "L1", G24, "{y}", _m_singleton, zeros_witness(G24), (0,),
+        "T47", "L1", G24, "{y}", _m_singleton, _no_terms, (0,),
     ))
     B.append(FamilyBranch(
         "T47", "L2", G24, "y + 2*ceil(k/3) + [0,k], k >= 1, k != 3",
         _m_interval_2ceil,
-        lambda y, k: _seq(G24, _t47_l2_base(k), y),
+        _t47_l2_base,
         (1, 2, 4, 5, 6, 7),
     ))
     B.append(FamilyBranch(
         "T47", "L2-36", G24, "y + [3,6]",
         _m_i36,
-        lambda y, k: _seq(G24, _merge(_U1, _MU1, {_E2G: 2}), y),
+        lambda k: _merge(_U1, _MU1, {_E2G: 2}),
         (0,),
     ))
     B.append(FamilyBranch(
         "T47", "L2-odd", G24, "[2t+1, 5t+2], t >= 1 (no shift)",
         _m_t47_l2_odd,
-        lambda y, k: _seq(
-            G24, _merge(_U1, _U3, _U4, _scaled(_U2, k - 1), _scaled(_MU2, k - 1))
-        ),
+        lambda k: _merge(_U1, _U3, _U4, _scaled(_U2, k - 1), _scaled(_MU2, k - 1)),
         (1, 2, 3),
+        shifts=False,
     ))
     B.append(FamilyBranch(
         "T47", "L3", G24, "y + 2k + 2*[0,k], k >= 1",
         _m_t47_l3,
-        lambda y, k: _seq(G24, {_G: 4 * k, _MG: 4 * k}, y),
+        lambda k: {_G: 4 * k, _MG: 4 * k},
         (1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T47", "L4", G24, "y + k + 1 + ({0} u [2,k+2]), k odd",
         _m_t47_l4,
-        lambda y, k: _seq(
-            G24, _merge(_U1, _MU1, {_G: 2 * (k - 1), _MG: 2 * (k - 1)}), y
-        ),
+        lambda k: _merge(_U1, _MU1, {_G: 2 * (k - 1), _MG: 2 * (k - 1)}),
         (1, 3, 5),
     ))
     B.append(FamilyBranch(
         "T47", "L5", G24, "y + k + 2 + ([0,k] u {k+2}), k >= 1",
         _m_t47_l5,
-        lambda y, k: _seq(G24, _t47_l5_base(k), y),
+        _t47_l5_base,
         (1, 2, 3, 4),
     ))
 
     # ---- C2^4 ----
     B.append(FamilyBranch(
-        "T48", "L1", G2_4, "{y}", _m_singleton, zeros_witness(G2_4), (0,),
+        "T48", "L1", G2_4, "{y}", _m_singleton, _no_terms, (0,),
     ))
     B.append(FamilyBranch(
         "T48", "L2", G2_4, "y + 2k + 3*[0,k]",
-        lambda y, k: _ap(y + 2 * k, 3, k),
-        lambda y, k: _seq(G2_4, _scaled(_U, 2 * k), y),
+        _m_ap3,
+        lambda k: _scaled(_U, 2 * k),
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T48", "L3", G2_4, "y + ceil(2k/3) + [0,k], k >= 2, k != 3",
         _m_t48_l3_int,
-        lambda y, k: _seq(G2_4, _c24_interval_base(k), y),
+        _c24_interval_base,
         (2, 4, 5, 6, 7, 8, 9, 10),
     ))
     B.append(FamilyBranch(
         "T48", "L3-23", G2_4, "y + [2,3]",
         _m_i23,
-        lambda y, k: _seq(G2_4, _c24_interval_base(1), y),
+        lambda k: _c24_interval_base(1),
         (0,),
     ))
     B.append(FamilyBranch(
         "T48", "L3-36", G2_4, "y + [3,6]",
         _m_i36,
-        lambda y, k: _seq(G2_4, _c24_interval_base(3), y),
+        lambda k: _c24_interval_base(3),
         (0,),
     ))
     B.append(FamilyBranch(
         "T48", "L4", G2_4, "y + 2k + 2*[0,k]",
         _m_even_ap,
-        lambda y, k: _seq(G2_4, _scaled(_V, 2 * k), y),
+        lambda k: _scaled(_V, 2 * k),
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T48", "L5", G2_4, "y + k + 2 + ([0,k] u {k+2}), k >= 1",
         _m_t47_l5,
-        lambda y, k: _seq(G2_4, _t48_l5_base(k), y),
+        _t48_l5_base,
         (1, 2, 3, 4),
     ))
     B.append(FamilyBranch(
         "T48", "L6", G2_4, "y + 2*ceil(k/3) + 2 + ({0} u [2,k+2]), k = 3 or k >= 5",
         _m_t48_l6,
-        lambda y, k: _seq(G2_4, _t48_l6_base(k), y),
+        _t48_l6_base,
         (3, 5, 6, 7, 8),
     ))
     B.append(FamilyBranch(
         "T48", "L7a", G2_4, "y + 2k + 3 + {0,1,3} + 3*[0,k]",
         _m_ap3_013,
-        lambda y, k: _seq(
-            G2_4, _merge(_scaled(_U, 2 * k + 1), _V, {_E4: 2, _E0: 2}), y
-        ),
+        lambda k: _merge(_scaled(_U, 2 * k + 1), _V, {_E4: 2, _E0: 2}),
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T48", "L7b", G2_4, "y + 2k + 4 + {0,1,3} + 3*[0,k] u {y+5k+8}",
         _m_t48_l7b,
-        lambda y, k: _seq(
-            G2_4, _merge(_scaled(_U, 2 * k + 2), _V, {_E4: 2, _E0: 2}), y
-        ),
+        lambda k: _merge(_scaled(_U, 2 * k + 2), _V, {_E4: 2, _E0: 2}),
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T48", "L8a", G2_4, "y + 2k + 3 + {0,2,3} + 3*[0,k]",
         _m_ap3_023,
-        lambda y, k: _seq(G2_4, _merge(_scaled(_U, 2 * k + 2), _V), y),
+        lambda k: _merge(_scaled(_U, 2 * k + 2), _V),
         (0, 1, 2, 3),
     ))
     B.append(FamilyBranch(
         "T48", "L8b", G2_4, "y + 2k + 4 + {0,2,3} + 3*[0,k] u {y+5k+9}",
         _m_t48_l8b,
-        lambda y, k: _seq(G2_4, _merge(_scaled(_U, 2 * k + 3), _V), y),
+        lambda k: _merge(_scaled(_U, 2 * k + 3), _V),
         (0, 1, 2, 3),
     ))
 
@@ -663,23 +655,23 @@ def family_branches(group: FiniteAbelianGroup | None = None) -> tuple[FamilyBran
     return _BY_GROUP[key]
 
 
+def _branches_of(family: str, branch: str | None) -> list[FamilyBranch]:
+    return [br for br in REGISTRY if br.family == family and branch in (None, br.branch)]
+
+
 def family_member(
     family: str, branch: str | None = None, y: int = 0, k: int = 0
 ) -> frozenset[int]:
-    errors = []
-    for br in REGISTRY:
-        if br.family != family:
-            continue
-        if branch is not None and br.branch != branch:
-            continue
+    found = _branches_of(family, branch)
+    if not found:
+        raise ValueError(f"unknown family {family!r} (branch {branch!r})")
+    for br in found:
         m = br.try_member(y, k)
         if m is not None:
             return m
-        errors.append(br.formula)
-    if not errors:
-        raise ValueError(f"unknown family {family!r} (branch {branch!r})")
     raise ValueError(
-        f"(y={y}, k={k}) outside the domain of {family}: " + "; ".join(errors)
+        f"(y={y}, k={k}) outside the domain of {family}: "
+        + "; ".join(br.formula for br in found)
     )
 
 
@@ -694,14 +686,8 @@ def witness_sequence(
         if group is None:
             raise ValueError("the intersection family needs an explicit group")
         return intersection_witness(group, y, k)
-    for br in REGISTRY:
-        if br.family != family:
-            continue
-        if branch is not None and br.branch != branch:
-            continue
-        if group is not None and br.group is not None and br.group != group:
-            continue
-        if br.try_member(y, k) is not None and br.witness_fn is not None:
+    for br in _branches_of(family, branch):
+        if group in (None, br.group) and br.try_member(y, k) is not None:
             return br.witness(y, k)
     raise ValueError(
         f"no witness for family {family!r} branch {branch!r} at (y={y}, k={k})"
@@ -731,7 +717,7 @@ def c24_interval_witness(l1: int, l2: int) -> Sequence:
         return Sequence.empty(G2_4).with_zeros(l1)
     k = l2 - l1
     base_min = max(2, _ceil(2 * k, 3)) if k != 3 else 3
-    return _seq(G2_4, _c24_interval_base(k), l1 - base_min)
+    return Sequence.build(G2_4, _c24_interval_base(k)).with_zeros(l1 - base_min)
 
 
 def intersection_witness(group: FiniteAbelianGroup, y: int, k: int) -> Sequence:
@@ -751,15 +737,15 @@ def intersection_witness(group: FiniteAbelianGroup, y: int, k: int) -> Sequence:
     if odd_p is not None:
         g = next(x for x in group.elements if group.order_of(x) == odd_p)
         g2 = group.add(g, g)
-        return _seq(group, {g: odd_p * k, g2: odd_p * k}, y)
+        return Sequence.build(group, {g: odd_p * k, g2: odd_p * k}).with_zeros(y)
     involutions = [x for x in group.nonzero_elements if group.order_of(x) == 2]
     if len(involutions) >= 2:
         e, f = involutions[0], involutions[1]
-        return _seq(group, {e: 2 * k, f: 2 * k, group.add(e, f): 2 * k}, y)
+        counts = {e: 2 * k, f: 2 * k, group.add(e, f): 2 * k}
+        return Sequence.build(group, counts).with_zeros(y)
     g = next(x for x in group.elements if group.order_of(x) == 4)
-    return _seq(
-        group, {g: 2 * k, group.neg(g): 2 * k, group.add(g, g): 2}, y + k - 1
-    )
+    counts = {g: 2 * k, group.neg(g): 2 * k, group.add(g, g): 2}
+    return Sequence.build(group, counts).with_zeros(y + k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -770,24 +756,11 @@ def intersection_witness(group: FiniteAbelianGroup, y: int, k: int) -> Sequence:
 def _members_from_branches(branches, bound: int) -> set[frozenset[int]]:
     out: set[frozenset[int]] = set()
     for br in branches:
-        k = 0
-        while True:
-            base = br.try_member(0, k)
-            if base is None:
-                if k > 3 * bound + 8:
-                    break
-                k += 1
-                continue
-            if min(base) > bound:
-                break
+        for k, _ in br.bases(bound):
             y = 0
-            while True:
-                m = br.try_member(y, k)
-                if m is None or max(m) > bound:
-                    break
+            while (m := br.try_member(y, k)) is not None and max(m) <= bound:
                 out.add(m)
                 y += 1
-            k += 1
     return out
 
 
@@ -848,27 +821,11 @@ def _t48_l3_first_form(bound: int) -> set[frozenset[int]]:
     return out
 
 
-_EQUIVALENCES: dict[str, tuple] = {
-    "T41": (
-        lambda bound: _members_from_branches(
-            [b for b in REGISTRY if b.family == "T41"], bound
-        ),
-        _t41_interval_pair_form,
-    ),
-    "T47-L2": (
-        lambda bound: _members_from_branches(
-            [b for b in REGISTRY if b.family == "T47" and b.branch.startswith("L2")],
-            bound,
-        ),
-        _t47_l2_second_form,
-    ),
-    "T48-L3": (
-        lambda bound: _members_from_branches(
-            [b for b in REGISTRY if b.family == "T48" and b.branch.startswith("L3")],
-            bound,
-        ),
-        _t48_l3_first_form,
-    ),
+# pair -> (family, branch prefix, the second presentation)
+_EQUIVALENCES: dict[str, tuple[str, str, Callable[[int], set[frozenset[int]]]]] = {
+    "T41": ("T41", "", _t41_interval_pair_form),
+    "T47-L2": ("T47", "L2", _t47_l2_second_form),
+    "T48-L3": ("T48", "L3", _t48_l3_first_form),
 }
 
 
@@ -887,8 +844,11 @@ def presentation_equivalence(pair: str, bound: int = 30) -> EquivalenceReport:
         raise ValueError(
             f"unknown presentation pair {pair!r}; known: {sorted(_EQUIVALENCES)}"
         )
-    gen_a, gen_b = _EQUIVALENCES[pair]
-    sa, sb = gen_a(bound), gen_b(bound)
+    family, prefix, second = _EQUIVALENCES[pair]
+    branches = [
+        br for br in REGISTRY if br.family == family and br.branch.startswith(prefix)
+    ]
+    sa, sb = _members_from_branches(branches, bound), second(bound)
     only_a = tuple(sorted(tuple(sorted(s)) for s in sa - sb))
     only_b = tuple(sorted(tuple(sorted(s)) for s in sb - sa))
     return EquivalenceReport(pair, bound, sa == sb, only_a, only_b)

@@ -36,22 +36,14 @@ class NumericalMonoid:
         self.scale = d
         self.generators = gens
         self._core = tuple(g // d for g in gens)
-        self._check_minimal()
         self._table: list[int] = [1]  # packed length masks, core units
+        self._check_minimal()
 
     def _check_minimal(self) -> None:
-        core = self._core
-        for i, g in enumerate(core):
-            others = core[:i] + core[i + 1 :]
-            if not others:
-                continue
-            # bounded reachability: is g a sum of the other generators?
-            reach = [False] * (g + 1)
-            reach[0] = True
-            for v in range(1, g + 1):
-                if any(v >= o and reach[v - o] for o in others):
-                    reach[v] = True
-            if reach[g]:
+        """A generator is redundant iff it is a sum of two or more generators."""
+        self._grow(self._core[-1])
+        for i, g in enumerate(self._core):
+            if self._table[g] >> 2:
                 raise ValueError(
                     f"generator {self.generators[i]} is redundant in {self.generators}"
                 )
@@ -147,12 +139,18 @@ class NumericalMonoid:
             worst = max(worst, mask.bit_length() - 1)
         return worst + 1
 
-    def smallest_nonunique(self, search_bound: int = 10_000) -> int:
-        """Smallest element with at least two factorization lengths."""
-        for a in range(1, search_bound + 1):
+    def smallest_nonunique(self) -> int:
+        """Smallest element with at least two factorization lengths.
+
+        n1*n2 is n2 copies of n1 and n1 copies of n2, so the search ends there.
+        """
+        if len(self.generators) < 2:
+            raise ValueError("no element with two lengths found (half-factorial?)")
+        n1, n2 = self.generators[:2]
+        for a in range(1, n1 * n2):
             if self.contains(a) and len(self.length_set(a)) >= 2:
                 return a
-        raise ValueError("no element with two lengths found (half-factorial?)")
+        return n1 * n2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<" + ",".join(str(g) for g in self.generators) + ">"

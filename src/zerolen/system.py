@@ -187,21 +187,11 @@ def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     engine = engine_for(group)
     best = (k, None, None)
     for br in family_branches(group):
-        kk = 0
-        while True:
-            base = br.try_member(0, kk)
-            if base is None:
-                if kk > 3 * k + 8:
-                    break
-                kk += 1
-                continue
-            if min(base) > k:
-                break
+        for kk, base in br.bases(k):
             top = max(base)
             for j in base:
                 if j <= k and (k - j) + top > best[0]:
                     best = ((k - j) + top, br, (kk, k - j))
-            kk += 1
     value, br, params = best
     wit = wl = None
     if br is not None:

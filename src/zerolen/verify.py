@@ -25,13 +25,13 @@ from .families import (
     G5,
     c24_interval_witness,
     family_branches,
+    intersection_witness,
     interval_criterion_c24,
     match_family,
     presentation_equivalence,
 )
 from .groups import FiniteAbelianGroup
 from .lengths import engine_for
-from .sequences import Sequence
 from .system import bounded_intersection, bounded_system
 
 TARGETS = ("P33", "T41", "T46", "T47", "T48", "T36", "C24INT")
@@ -185,10 +185,8 @@ def _verify_t36(bound: Optional[int]) -> VerificationReport:
     report = VerificationReport("T36", "pass", {"max": bound or 9})
     for p, gname in ((3, G3), (5, G5)):
         eng = engine_for(gname)
-        g = next(x for x in gname.elements if gname.order_of(x) == p)
-        g2 = gname.add(g, g)
         for k in range(1, 6):
-            B = Sequence.build(gname, {g: p * k, g2: p * k})
+            B = intersection_witness(gname, 0, k)
             got = eng.length_set(B)
             want = tuple(range(2 * k, 3 * k + 1))
             if got != want:

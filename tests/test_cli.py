@@ -70,7 +70,6 @@ def test_json_determinism(capsys):
     assert first == second
 
 
-
 def test_node_budget_exit_code(capsys, monkeypatch):
     import zerolen.lengths
 
@@ -80,4 +79,15 @@ def test_node_budget_exit_code(capsys, monkeypatch):
     code = main(["lengths", "5", "(1)^5*(2)^5*(3)^5*(4)^5"])
     err = capsys.readouterr().err
     assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_atom_enumeration_budget_exit_code(capsys, monkeypatch):
+    import zerolen.atoms
+
+    # a fresh catalog cache, so that C2^4 is enumerated under the budget
+    monkeypatch.setattr(zerolen.atoms, "_CATALOGS", {})
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "100")
+    assert main(["atoms", "2x2x2x2"]) == 3
+    err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from zerolen import (
@@ -84,13 +86,45 @@ def test_presentation_equivalences():
         presentation_equivalence("T99")
 
 
-def test_identical_presentations_trivially_equal():
-    from zerolen.families import _members_from_branches
+@pytest.mark.parametrize("spec", ["5", "2x2x2x2"])
+def test_family_members_up_to_matches_brute_force(spec):
+    # every (y, k) with k < 4 * bound: the k-walk's stop rule must lose nothing
+    G = make_group([int(t) for t in spec.split("x")])
+    bound = 20
+    brute = set()
+    for br in family_branches(G):
+        for k in range(4 * bound):
+            for y in range(bound + 1):
+                m = br.try_member(y, k)
+                if m is not None and max(m) <= bound:
+                    brute.add(m)
+    assert family_members_up_to(G, bound) == brute and len(brute) > 10
 
-    branches = [b for b in family_branches(make_group([5]))]
-    a = _members_from_branches(branches, 20)
-    b = _members_from_branches(branches, 20)
-    assert a == b and len(a) > 10
+
+def test_base_min_never_decreases():
+    # FamilyBranch.bases stops at the first base past its top
+    for br in family_branches():
+        mins = [min(b) for b in map(br.member_fn, range(100)) if b is not None]
+        assert mins == sorted(mins), br.id
+
+
+def test_registry_digest():
+    # a pinned digest of every branch's member and witness on a grid, so any
+    # change to a formula, a construction or the shift rule shows here
+    rows = []
+    for br in family_branches():
+        for k in range(25):
+            for y in range(8):
+                m = br.try_member(y, k)
+                try:
+                    w = br.witness(y, k).literal()
+                except ValueError:
+                    w = None
+                rows.append((br.id, y, k, None if m is None else sorted(m), w))
+    assert len(rows) == 7600
+    assert sum(r[3] is not None for r in rows) == 5248
+    assert sum(r[4] is not None for r in rows) == 5048
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "0e3bdc088a7228fa"
 
 
 def test_family_members_are_aamps():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -35,6 +36,32 @@ def test_minimality_validation():
     with pytest.raises(ValueError):
         NumericalMonoid([2, 4, 5])  # 4 = 2 + 2
     NumericalMonoid([3, 4, 5])  # minimal
+
+
+def _is_sum_of(target, parts):
+    reach = [True] + [False] * target
+    for v in range(1, target + 1):
+        reach[v] = any(v >= o and reach[v - o] for o in parts)
+    return reach[target]
+
+
+def test_minimality_and_smallest_nonunique_by_brute_force():
+    for r in (2, 3):
+        for gens in combinations(range(1, 13), r):
+            redundant = [
+                g for i, g in enumerate(gens) if _is_sum_of(g, gens[:i] + gens[i + 1 :])
+            ]
+            if redundant:
+                with pytest.raises(ValueError, match=f"generator {redundant[0]} "):
+                    NumericalMonoid(gens)
+                continue
+            H = NumericalMonoid(gens)
+            a = 1
+            while not (H.contains(a) and len(H.length_set(a)) >= 2):
+                a += 1
+            assert H.smallest_nonunique() == a, gens
+    with pytest.raises(ValueError, match="half-factorial"):
+        NumericalMonoid([3]).smallest_nonunique()
 
 
 def test_scaled_single_generator():
