@@ -35,9 +35,9 @@ class NodeCounter:
 
     __slots__ = ("count", "limit")
 
-    def __init__(self, limit: int | None = None):
+    def __init__(self):
         self.count = 0
-        self.limit = max_nodes() if limit is None else limit
+        self.limit = max_nodes()
 
     def tick(self, n: int = 1) -> None:
         global _global_nodes

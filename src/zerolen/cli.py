@@ -203,43 +203,39 @@ def cmd_family(args) -> int:
         ]
         _emit({"families": rows}, args.json)
         return 0
-    if args.action == "member":
+    if args.action in ("member", "witness"):
         if not args.id:
-            raise UsageError("family member needs an id such as T46:L6")
-        member = family_member(args.id.split(":")[0],
-                               args.id.split(":")[1] if ":" in args.id else None,
-                               y=args.y, k=args.k)
-        _emit({"id": args.id, "member": sorted(member)}, args.json)
-        return 0
-    if args.action == "witness":
-        if not args.id:
-            raise UsageError("family witness needs an id such as T46:L6")
-        fam = args.id.split(":")[0]
-        branch = args.id.split(":")[1] if ":" in args.id else None
+            raise UsageError(f"family {args.action} needs an id such as T46:L6")
+        fam, sep, branch = args.id.partition(":")
+        branch = branch if sep else None
+        if args.action == "member":
+            member = family_member(fam, branch, y=args.y, k=args.k)
+            _emit({"id": args.id, "member": sorted(member)}, args.json)
+            return 0
         group = parse_group(args.group) if args.group else None
         wit = witness_sequence(fam, branch, y=args.y, k=args.k, group=group)
         _emit({"id": args.id, "witness": wit.literal()}, args.json)
         return 0
-    if args.action == "match":
-        # usage: family match <group> --set 2,5   (group may ride the id slot)
-        group = parse_group(args.group or args.id)
-        if not args.set:
-            raise UsageError("family match needs --set with comma-separated lengths")
-        lengths = [int(t) for t in args.set.replace(" ", "").split(",") if t]
-        matches = match_family(group, lengths)
-        _emit(
-            {
-                "group": group.label,
-                "set": sorted(set(lengths)),
-                "matches": [
-                    {"family": m.family, "branch": m.branch, "y": m.y, "k": m.k}
-                    for m in matches
-                ],
-            },
-            args.json,
-        )
-        return 0 if matches else 1
-    raise UsageError(f"unknown family action {args.action!r}")
+    # match; usage: family match <group> --set 2,5   (group may ride the id slot)
+    if not (args.group or args.id):
+        raise UsageError("family match needs a group: family match <group> --set 2,5")
+    group = parse_group(args.group or args.id)
+    if not args.set:
+        raise UsageError("family match needs --set with comma-separated lengths")
+    lengths = [int(t) for t in args.set.replace(" ", "").split(",") if t]
+    matches = match_family(group, lengths)
+    _emit(
+        {
+            "group": group.label,
+            "set": sorted(set(lengths)),
+            "matches": [
+                {"family": m.family, "branch": m.branch, "y": m.y, "k": m.k}
+                for m in matches
+            ],
+        },
+        args.json,
+    )
+    return 0 if matches else 1
 
 
 def cmd_verify(args) -> int:
@@ -307,24 +303,23 @@ def cmd_nm(args) -> int:
             args.json,
         )
         return 0 if rep.status == "pass" else 1
-    if args.action == "verify-56":
-        factors = [_gens(part) for part in args.gens.split(";") if part]
-        D = ProductMonoid(factors)
-        L = [int(t) for t in args.L.split(",") if t]
-        rep = y_L_bound(D, L, search_bound=args.bound)
-        _emit(
-            {
-                "factors": [repr(H) for H in factors],
-                "L": sorted(set(L)),
-                "y_L": rep.y_l,
-                "window": list(rep.window),
-                "violations": [list(v) for v in rep.violations],
-                "status": "pass" if rep.ok else "fail",
-            },
-            args.json,
-        )
-        return 0 if rep.ok else 1
-    raise UsageError(f"unknown nm action {args.action!r}")
+    # verify-56
+    factors = [_gens(part) for part in args.gens.split(";") if part]
+    D = ProductMonoid(factors)
+    L = [int(t) for t in args.L.split(",") if t]
+    rep = y_L_bound(D, L, search_bound=args.bound)
+    _emit(
+        {
+            "factors": [repr(H) for H in factors],
+            "L": sorted(set(L)),
+            "y_L": rep.y_l,
+            "window": list(rep.window),
+            "violations": [list(v) for v in rep.violations],
+            "status": "pass" if rep.ok else "fail",
+        },
+        args.json,
+    )
+    return 0 if rep.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

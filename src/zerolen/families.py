@@ -2,10 +2,14 @@
 
 Every family is a list of branches y + base(k), y >= 0.  Because
 L(0^y B) = y + L(B), a branch is plain data at y = 0: ``member_fn(k)`` gives
-the base member (None outside the parameter domain) and ``witness_fn(k)`` the
-multiset B_k realizing it.  ``FamilyBranch`` alone applies the shift
-(member + y, B_k times 0^y) and walks k (``bases``), so the tables can be
-listed, matched against and swept generically.
+the base member (None where a residue or a lower end excludes k) and
+``witness_fn(k)`` the multiset B_k realizing it.  A branch whose k-domain
+ends says so with ``k_max`` (0 for the constant branches such as ``{y}`` and
+``y + [3,6]``); every other domain is unbounded above.  ``FamilyBranch`` alone
+applies the shift (member + y, B_k times 0^y) and the domain end, and walks k
+(``bases``), so the tables can be listed, matched against and swept
+generically.  The registry is the only statement of the catalog: the covered
+groups, the verify targets' branches and the T36 intersection are read off it.
 
 Family ids follow the scheme ``<catalog>-L<i>`` with a branch tag where a
 single list item splits into cases (interval residues, parity and the like).
@@ -30,9 +34,6 @@ G33 = make_group([3, 3])
 G5 = make_group([5])
 G24 = make_group([2, 4])
 G2_4 = make_group([2, 2, 2, 2])
-
-COVERED_GROUPS = (G3, G22, G4, G23, G33, G5, G24, G2_4)
-
 
 def _iv(a: int, b: int) -> frozenset[int]:
     return frozenset(range(a, b + 1))
@@ -81,6 +82,7 @@ class FamilyBranch:
     witness_fn: Optional[Callable[[int], dict[Element, int]]]
     sweep_ks: tuple[int, ...] = ()
     shifts: bool = True  # False: the branch is defined at y = 0 only
+    k_max: Optional[int] = None  # the largest k of the domain, if it ends
 
     @property
     def id(self) -> str:
@@ -88,6 +90,8 @@ class FamilyBranch:
 
     def try_member(self, y: int, k: int) -> Member:
         if y < 0 or k < 0 or (y and not self.shifts):
+            return None
+        if self.k_max is not None and k > self.k_max:
             return None
         base = self.member_fn(k)
         if base is None or y == 0:
@@ -111,20 +115,27 @@ class FamilyBranch:
     def bases(self, top: int) -> Iterator[tuple[int, frozenset[int]]]:
         """(k, base member) for every k whose base has min <= top, k ascending.
 
-        min(base) never decreases with k, so the walk stops at the first base
-        past top, or once k > 3*top + 8 while k is outside the domain.
+        min(base) never decreases with k, so the walk stops at k_max or at the
+        first base past top.
         """
         k = 0
-        while True:
+        while self.k_max is None or k <= self.k_max:
             base = self.member_fn(k)
-            if base is None:
-                if k > 3 * top + 8:
+            if base is not None:
+                if min(base) > top:
                     return
-            elif min(base) > top:
-                return
-            else:
                 yield k, base
             k += 1
+
+    def members_up_to(self, bound: int) -> set[frozenset[int]]:
+        """Every member y + base(k) with max <= bound."""
+        out: set[frozenset[int]] = set()
+        for k, _ in self.bases(bound):
+            y = 0
+            while (m := self.try_member(y, k)) is not None and max(m) <= bound:
+                out.add(m)
+                y += 1
+        return out
 
     def matches(self, lengths: Iterable[int]) -> Iterator[FamilyMatch]:
         L = frozenset(lengths)
@@ -143,7 +154,7 @@ class FamilyBranch:
 
 
 def _m_singleton(k: int) -> Member:
-    return frozenset({0}) if k == 0 else None
+    return frozenset({0})
 
 
 def _m_interval_2k3(k: int) -> Member:
@@ -158,16 +169,12 @@ def _m_even_ap(k: int) -> Member:
     return _ap(2 * k, 2, k)
 
 
-def _m_c23_short_interval(k: int) -> Member:
-    return _m_c4_interval(k) if k <= 2 else None
-
-
 def _m_c23_long_interval(k: int) -> Member:
     return _iv(k, 2 * k) if k >= 3 else None
 
 
 def _m_i23(k: int) -> Member:
-    return _iv(2, 3) if k == 0 else None
+    return _iv(2, 3)
 
 
 def _m_t41_interval(k: int) -> Member:
@@ -205,7 +212,7 @@ def _m_interval_2ceil(k: int) -> Member:
 
 
 def _m_i36(k: int) -> Member:
-    return _iv(3, 6) if k == 0 else None
+    return _iv(3, 6)
 
 
 def _m_ap3_023(k: int) -> Member:
@@ -434,9 +441,9 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
     ))
     B.append(FamilyBranch(
         "P33-C23", "L1", G23, "y + k + 1 + [0,k], k <= 2",
-        _m_c23_short_interval,
+        _m_c4_interval,
         _C23_SHORT.__getitem__,
-        (0, 1, 2),
+        (0, 1, 2), k_max=2,
     ))
     B.append(FamilyBranch(
         "P33-C23", "L2", G23, "y + k + [0,k], k >= 3",
@@ -453,13 +460,13 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
 
     # ---- C3+C3 ----
     B.append(FamilyBranch(
-        "T41", "L1", G33, "{y}", _m_singleton, _no_terms, (0,),
+        "T41", "L1", G33, "{y}", _m_singleton, _no_terms, (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T41", "L2", G33, "y + 2 + [0,1]",
         _m_i23,
         lambda k: {_a: 3, _ma: 3},
-        (0,),
+        (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T41", "L3", G33, "y + ceil(2k/3) + [0,k], k >= 2",
@@ -470,7 +477,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
 
     # ---- C5 ----
     B.append(FamilyBranch(
-        "T46", "L1", G5, "{y}", _m_singleton, _no_terms, (0,),
+        "T46", "L1", G5, "{y}", _m_singleton, _no_terms, (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T46", "L2", G5, "y + 2k + 2 + {0,2} + 3*[0,k]",
@@ -500,7 +507,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         "T46", "L5-36", G5, "y + [3,6]",
         _m_i36,
         lambda k: {_g5t: 1, _g5mt: 1, _g5: 5, _g5m: 5},
-        (0,),
+        (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T46", "L6", G5, "y + 2k + 3 + {0,2,3} + 3*[0,k]",
@@ -517,7 +524,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
 
     # ---- C2+C4 ----
     B.append(FamilyBranch(
-        "T47", "L1", G24, "{y}", _m_singleton, _no_terms, (0,),
+        "T47", "L1", G24, "{y}", _m_singleton, _no_terms, (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T47", "L2", G24, "y + 2*ceil(k/3) + [0,k], k >= 1, k != 3",
@@ -529,7 +536,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         "T47", "L2-36", G24, "y + [3,6]",
         _m_i36,
         lambda k: _merge(_U1, _MU1, {_E2G: 2}),
-        (0,),
+        (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T47", "L2-odd", G24, "[2t+1, 5t+2], t >= 1 (no shift)",
@@ -559,7 +566,7 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
 
     # ---- C2^4 ----
     B.append(FamilyBranch(
-        "T48", "L1", G2_4, "{y}", _m_singleton, _no_terms, (0,),
+        "T48", "L1", G2_4, "{y}", _m_singleton, _no_terms, (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T48", "L2", G2_4, "y + 2k + 3*[0,k]",
@@ -577,13 +584,13 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
         "T48", "L3-23", G2_4, "y + [2,3]",
         _m_i23,
         lambda k: _c24_interval_base(1),
-        (0,),
+        (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T48", "L3-36", G2_4, "y + [3,6]",
         _m_i36,
         lambda k: _c24_interval_base(3),
-        (0,),
+        (0,), k_max=0,
     ))
     B.append(FamilyBranch(
         "T48", "L4", G2_4, "y + 2k + 2*[0,k]",
@@ -639,20 +646,20 @@ def _build_registry() -> tuple[FamilyBranch, ...]:
 
 REGISTRY: tuple[FamilyBranch, ...] = _build_registry()
 
-_BY_GROUP: dict[tuple[int, ...], tuple[FamilyBranch, ...]] = {}
-for _br in REGISTRY:
-    if _br.group is not None:
-        _BY_GROUP.setdefault(_br.group.invariant_factors, tuple())
-        _BY_GROUP[_br.group.invariant_factors] += (_br,)
+# the groups with a complete description, in registry order
+COVERED_GROUPS = tuple(dict.fromkeys(br.group for br in REGISTRY if br.group))
+
+# y + 2k + [0,k], the sets of lengths common to every group of order >= 3
+INTERSECTION = next(br for br in REGISTRY if br.family == "T36-INTERSECT")
 
 
 def family_branches(group: FiniteAbelianGroup | None = None) -> tuple[FamilyBranch, ...]:
     if group is None:
         return REGISTRY
-    key = group.invariant_factors
-    if key not in _BY_GROUP:
+    found = tuple(br for br in REGISTRY if br.group == group)
+    if not found:
         raise ValueError(f"no closed-form families are registered for {group}")
-    return _BY_GROUP[key]
+    return found
 
 
 def _branches_of(family: str, branch: str | None) -> list[FamilyBranch]:
@@ -710,29 +717,35 @@ def interval_criterion_c24(l1: int, l2: int) -> bool:
 
 
 def c24_interval_witness(l1: int, l2: int) -> Sequence:
-    """Concrete sequence over C2^4 with L = [l1, l2]; requires the criterion."""
+    """Concrete sequence over C2^4 with L = [l1, l2]; requires the criterion.
+
+    The witness of the first registry branch matching [l1, l2] (T48:L1 or an
+    L3 branch).
+    """
     if not interval_criterion_c24(l1, l2):
         raise ValueError(f"[{l1},{l2}] is not realizable over C2^4")
-    if l1 == l2:
-        return Sequence.empty(G2_4).with_zeros(l1)
-    k = l2 - l1
-    base_min = max(2, _ceil(2 * k, 3)) if k != 3 else 3
-    return Sequence.build(G2_4, _c24_interval_base(k)).with_zeros(l1 - base_min)
+    for br in family_branches(G2_4):
+        for m in br.matches(range(l1, l2 + 1)):
+            return br.witness(m.y, m.k)
+    raise AssertionError(f"[{l1},{l2}] meets the criterion but no C2^4 branch")
 
 
 def intersection_witness(group: FiniteAbelianGroup, y: int, k: int) -> Sequence:
     """A sequence over the group realizing y + 2k + [0, k].
 
-    Uses an element of odd prime order when one exists, else a pair of
-    independent involutions, else an element of order 4 (exactly one of these
-    exists in every group of order >= 3).
+    Uses an element whose order is the smallest odd prime p dividing the
+    exponent, g^{pk} (2g)^{pk}, when one exists, else a pair of independent
+    involutions, else an element of order 4 (one of these exists in every
+    group of order >= 3).
     """
     if group.order < 3:
         raise ValueError("needs a group of order at least 3")
     if k == 0:
         return Sequence.empty(group).with_zeros(y)
+    # the least odd divisor > 1 of the exponent is its least odd prime factor
     odd_p = next(
-        (p for p in (3, 5, 7, 11, 13) if group.exponent % p == 0), None
+        (p for p in range(3, group.exponent + 1, 2) if group.exponent % p == 0),
+        None,
     )
     if odd_p is not None:
         g = next(x for x in group.elements if group.order_of(x) == odd_p)
@@ -754,14 +767,7 @@ def intersection_witness(group: FiniteAbelianGroup, y: int, k: int) -> Sequence:
 
 
 def _members_from_branches(branches, bound: int) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for br in branches:
-        for k, _ in br.bases(bound):
-            y = 0
-            while (m := br.try_member(y, k)) is not None and max(m) <= bound:
-                out.add(m)
-                y += 1
-    return out
+    return set().union(*(br.members_up_to(bound) for br in branches))
 
 
 def family_members_up_to(

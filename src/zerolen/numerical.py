@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterable, Optional, Sequence as Seq
 
+from .budget import NodeCounter
 from .families import G3, G33, family_members_up_to
 from .lengths import delta as length_delta, mask_to_lengths
 
@@ -63,7 +64,11 @@ class NumericalMonoid:
         return worst
 
     def _grow(self, upto: int) -> None:
+        """Extend the table to upto, one budget node per value, charged first."""
         t = self._table
+        if upto < len(t):
+            return
+        NodeCounter().tick(upto + 1 - len(t))
         gens = self._core
         for v in range(len(t), upto + 1):
             mask = 0
@@ -93,9 +98,6 @@ class NumericalMonoid:
         if mask == 0:
             raise ValueError(f"{a} is not in {self}")
         return mask_to_lengths(mask)
-
-    def max_length(self, a: int) -> int:
-        return self.length_set(a)[-1]
 
     def elasticity(self) -> Fraction:
         """nt / n1 (exactly 1 for a single generator)."""
@@ -172,23 +174,17 @@ class BetaGap:
     m_u: int
 
 
-def beta_gap(H: NumericalMonoid, b: int | None = None, u: int | None = None) -> BetaGap:
+def beta_gap(H: NumericalMonoid) -> BetaGap:
     """The gap below which no elasticity other than 1 occurs.
 
     beta1 uses only the primary bounds of b and u; beta2 adds the length set
-    of the element M(b)*u.  Defaults pin the canonical choice: smallest b with
-    two lengths and the smallest generator.
+    of the element M(b)*u.  b is the smallest element with two lengths and u
+    the smallest generator.
     """
     if H.is_half_factorial():
         raise ValueError("the gap is defined for non-half-factorial monoids")
-    if b is None:
-        b = H.smallest_nonunique()
-    if u is None:
-        u = H.generators[0]
-    if len(H.length_set(b)) < 2:
-        raise ValueError(f"b={b} must have at least two lengths")
-    if u not in H.generators:
-        raise ValueError(f"u={u} must be a generator (an atom)")
+    b = H.smallest_nonunique()
+    u = H.generators[0]
     m_b = H.strongly_primary_bound(b)
     m_u = H.strongly_primary_bound(u)
     beta1 = Fraction(m_b + m_u + 1, m_b + m_u)
@@ -212,6 +208,7 @@ class GapReport:
 def verify_elasticity_gap(H: NumericalMonoid, bound: int) -> GapReport:
     """Check rho(L(a)) in {1} u [beta, inf) for every member a <= bound."""
     gap = beta_gap(H)
+    H._grow(bound // H.scale)  # the whole sweep under one budget
     bad = []
     checked = 0
     for a in range(1, bound + 1):
@@ -300,7 +297,9 @@ def y_L_bound(
     for H in D.factors:
         members.append([a for a in range(search_bound + 1) if H.contains(a)])
     violations = []
+    tick = NodeCounter().tick  # one node per combination
     for combo in iter_product(*members):
+        tick()
         if D.length_set((0, combo)) in targets:
             violations.append(combo)
     return YLReport(y_l, (y_l, y_l + window), search_bound, tuple(violations))
@@ -350,7 +349,6 @@ def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int = 20) -> Thm57R
         observed.update(length_delta(L))
         for y in range(0, bound - L[-1] + 1):
             realized.add(tuple(v + y for v in L))
-    realized = {L for L in realized if L[-1] <= bound}
     if observed - {1}:
         hyp.append(f"observed distances {sorted(observed)} != {{1}}")
     lo, hi = interval_needed

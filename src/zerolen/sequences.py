@@ -14,10 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .budget import ResourceLimitError
 from .groups import Element, FiniteAbelianGroup
-
-SUBSUM_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -133,21 +130,22 @@ class Sequence:
 
     # -- zero-sum structure -------------------------------------------
 
-    def subsequence_sums(self, cap: int = SUBSUM_CAP) -> frozenset[Element]:
-        """All sums of nonempty sub-multisets, by iterative sumset growth."""
-        if self.length > cap:
-            raise ResourceLimitError(
-                f"subsequence sums need |S| <= {cap}, got {self.length}"
-            )
+    def subsequence_sums(self) -> frozenset[Element]:
+        """All sums of nonempty sub-multisets, by iterative sumset growth.
+
+        A term g is added min(m, ord g) times: ord g copies already give every
+        multiple of g, so further copies add no sum.
+        """
         add = self.group.add
         sums: set[Element] = set()
-        for g in self.terms():
-            sums |= {add(s, g) for s in sums}
-            sums.add(g)
+        for g, m in self.items:
+            for _ in range(min(m, self.group.order_of(g))):
+                sums |= {add(s, g) for s in sums}
+                sums.add(g)
         return frozenset(sums)
 
-    def is_zero_sum_free(self, cap: int = SUBSUM_CAP) -> bool:
-        return self.group.zero not in self.subsequence_sums(cap)
+    def is_zero_sum_free(self) -> bool:
+        return self.group.zero not in self.subsequence_sums()
 
     def is_atom(self) -> bool:
         """True iff this is a minimal zero-sum sequence.

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
 from .budget import NodeCounter
-from .families import family_branches, intersection_witness
+from .families import INTERSECTION, family_branches, intersection_witness
 from .groups import Element, FiniteAbelianGroup
 from .lengths import delta, engine_for, mask_to_lengths, packed_sweep
 from .sequences import Sequence
@@ -337,9 +337,10 @@ def bounded_intersection(
 
     Candidates come from an exhaustive bounded system of the smallest group
     (whose closed form makes it the minimal system), so nothing outside it can
-    lie in the intersection.  Membership in each remaining group is certified
-    by an engine-verified realizing sequence; the reported per-group bound is
-    the longest witness used.
+    lie in the intersection.  A candidate must match the T36-INTERSECT branch
+    y + 2k + [0,k]; its membership in each group is certified by the
+    engine-verified ``intersection_witness(g, y, k)``, and the reported
+    per-group bound is the longest witness used.
     """
     gs = sorted(set(groups), key=lambda g: (g.order, g.invariant_factors))
     if not gs:
@@ -359,24 +360,19 @@ def bounded_intersection(
     unconfirmed: list[tuple[Lengths, tuple[int, ...]]] = []
     wit_bounds: dict[tuple[int, ...], int] = {g.invariant_factors: 0 for g in gs}
     for L in candidates:
-        k = L[-1] - L[0]
-        y = L[0] - 2 * k
-        shape = tuple(range(L[0], L[-1] + 1))
-        ok = y >= 0 and L == shape
+        match = next(INTERSECTION.matches(L), None)
+        if match is None:
+            unconfirmed.append((L, base.invariant_factors))
+            continue
         for g in gs:
-            if not ok:
-                break
-            wit = intersection_witness(g, y, k)
+            wit = intersection_witness(g, match.y, match.k)
             if engine_for(g).length_set(wit) != L:
-                ok = False
                 unconfirmed.append((L, g.invariant_factors))
                 break
             key = g.invariant_factors
             wit_bounds[key] = max(wit_bounds[key], wit.length)
-        if ok:
+        else:
             confirmed.append(L)
-        elif y < 0 or L != shape:
-            unconfirmed.append((L, base.invariant_factors))
     return IntersectionReport(
         tuple(confirmed), base, max_value, wit_bounds, tuple(unconfirmed)
     )

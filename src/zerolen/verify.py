@@ -14,6 +14,7 @@ from typing import Optional
 
 from .budget import global_nodes
 from .families import (
+    _EQUIVALENCES,
     COVERED_GROUPS,
     G2_4,
     G22,
@@ -23,6 +24,8 @@ from .families import (
     G33,
     G4,
     G5,
+    INTERSECTION,
+    FamilyBranch,
     c24_interval_witness,
     family_branches,
     intersection_witness,
@@ -36,23 +39,14 @@ from .system import bounded_intersection, bounded_system
 
 TARGETS = ("P33", "T41", "T46", "T47", "T48", "T36", "C24INT")
 
-# per-target (group, soundness bound) pairs; None bound means families only
+# per-target (group, soundness bound) pairs; a target checks the registry
+# branches of its groups
 _SOUNDNESS: dict[str, tuple[tuple[FiniteAbelianGroup, int], ...]] = {
     "P33": ((G3, 18), (G22, 18), (G4, 16), (G23, 16)),
     "T41": ((G33, 16),),
     "T46": ((G5, 20),),
     "T47": ((G24, 16),),
     "T48": ((G2_4, 12),),
-}
-
-_EQUIVALENCES = {"T41": "T41", "T47": "T47-L2", "T48": "T48-L3"}
-
-_FAMILY_PREFIX = {
-    "P33": ("P33-C3C22", "P33-C4", "P33-C23"),
-    "T41": ("T41",),
-    "T46": ("T46",),
-    "T47": ("T47",),
-    "T48": ("T48",),
 }
 
 
@@ -120,21 +114,17 @@ def soundness_check(
 
 
 def completeness_check(
-    families: tuple[str, ...],
-    report: VerificationReport,
-    y_max: int = 4,
+    branches: tuple[FamilyBranch, ...], report: VerificationReport
 ) -> None:
-    branches = [
-        br
-        for br in family_branches()
-        if br.family in families and br.witness_fn is not None
+    """Every branch's witness at each sweep k and y <= 4 realizes its member."""
+    families = tuple(dict.fromkeys(br.family for br in branches))
+    jobs = [
+        (br, y, k)
+        for br in branches
+        for k in br.sweep_ks
+        for y in range(5)
+        if br.try_member(y, k) is not None
     ]
-    jobs = []
-    for br in branches:
-        for k in br.sweep_ks:
-            for y in range(y_max + 1):
-                if br.try_member(y, k) is not None:
-                    jobs.append((br, y, k))
 
     bad = 0
     for br, y, k in jobs:
@@ -162,9 +152,12 @@ def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
         b = bound if bound is not None else default
         report.bounds[group.label] = b
         soundness_check(group, b, report)
-    completeness_check(_FAMILY_PREFIX[target], report)
-    if target in _EQUIVALENCES:
-        eq = presentation_equivalence(_EQUIVALENCES[target], bound=30)
+    groups = [group for group, _ in _SOUNDNESS[target]]
+    branches = tuple(br for br in family_branches() if br.group in groups)
+    completeness_check(branches, report)
+    families = {br.family for br in branches}
+    for pair in (p for p, (fam, _, _) in _EQUIVALENCES.items() if fam in families):
+        eq = presentation_equivalence(pair, bound=30)
         report.checks.append(
             f"presentation equivalence {eq.pair} bound {eq.bound}: "
             f"{'equal' if eq.equal else 'DIFFER'}"
@@ -182,14 +175,14 @@ def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
 
 
 def _verify_t36(bound: Optional[int]) -> VerificationReport:
-    report = VerificationReport("T36", "pass", {"max": bound or 9})
+    hi = bound or 9
+    report = VerificationReport("T36", "pass", {"max": hi})
     for p, gname in ((3, G3), (5, G5)):
         eng = engine_for(gname)
         for k in range(1, 6):
             B = intersection_witness(gname, 0, k)
             got = eng.length_set(B)
-            want = tuple(range(2 * k, 3 * k + 1))
-            if got != want:
+            if got != tuple(sorted(INTERSECTION.member(0, k))):
                 report.counterexamples.append(
                     Counterexample(
                         "construction-mismatch",
@@ -200,11 +193,8 @@ def _verify_t36(bound: Optional[int]) -> VerificationReport:
                 )
     report.checks.append("base constructions p in {3,5}, k <= 5 verified")
 
-    inter = bounded_intersection(COVERED_GROUPS, max_value=bound or 9)
-    want = set()
-    for k in range(0, (bound or 9) // 3 + 1):
-        for y in range(0, (bound or 9) - 3 * k + 1):
-            want.add(tuple(range(y + 2 * k, y + 3 * k + 1)))
+    inter = bounded_intersection(COVERED_GROUPS, max_value=hi)
+    want = {tuple(sorted(m)) for m in INTERSECTION.members_up_to(hi)}
     got = set(inter.sets)
     for L in sorted(want - got):
         report.counterexamples.append(
@@ -249,7 +239,7 @@ def _verify_c24int(bound: Optional[int]) -> VerificationReport:
     report.checks.append(f"realized {realized} admissible intervals up to {hi}")
 
     system = bounded_system(G2_4, None, 12)
-    if tuple(range(2, 6)) in system.sets or (2, 3, 4, 5) in system.sets:
+    if (2, 3, 4, 5) in system.sets:
         report.counterexamples.append(
             Counterexample("forbidden-interval", G2_4.label, "[2,5] realized")
         )

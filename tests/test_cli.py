@@ -91,3 +91,34 @@ def test_atom_enumeration_budget_exit_code(capsys, monkeypatch):
     assert main(["atoms", "2x2x2x2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_family_usage_errors(capsys):
+    assert main(["family", "match", "--set", "2,5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["family", "witness"]) == 2
+
+
+def test_intersection_over_a_large_odd_prime(capsys):
+    code, payload = run_json(capsys, "intersect", "3", "17")
+    assert code == 0 and payload["unconfirmed"] == [] and [2, 3] in payload["sets"]
+    code, payload = run_json(
+        capsys, "family", "witness", "T36-INTERSECT", "--group", "17", "--k", "1"
+    )
+    assert code == 0 and payload["witness"] == "(1)^17*(2)^17"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nm", "lengths", "2,3", "20000"],
+        ["nm", "verify-gap", "2,3", "--bound", "5000"],
+        ["nm", "verify-56", "2,3;2,3;2,3", "--bound", "60"],
+    ],
+)
+def test_numerical_budget_exit_code(capsys, monkeypatch, argv):
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "1000")
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from zerolen import (
+    bounded_system,
     c24_interval_witness,
     engine_for,
     family_branches,
@@ -70,7 +72,9 @@ def test_witness_examples():
 
 
 def test_intersection_witnesses_across_groups():
-    for spec in ("3", "4", "2x2", "2x2x2", "5", "2x4", "3x3", "2x2x2x2"):
+    # C17, C19 and C34 use the smallest odd prime factor of the exponent
+    specs = ("3", "4", "2x2", "2x2x2", "5", "2x4", "3x3", "2x2x2x2", "17", "19", "34")
+    for spec in specs:
         G = make_group([int(t) for t in spec.split("x")])
         eng = engine_for(G)
         for (y, k) in ((0, 1), (1, 2), (0, 3), (2, 0)):
@@ -99,6 +103,59 @@ def test_family_members_up_to_matches_brute_force(spec):
                 if m is not None and max(m) <= bound:
                     brute.add(m)
     assert family_members_up_to(G, bound) == brute and len(brute) > 10
+
+
+def test_unbounded_domains_have_no_long_gaps():
+    # bases walks a branch without k_max until a base passes its top, so each
+    # such branch must keep yielding bases: from its first k on, one in every
+    # two consecutive k (below 200), and the first within k <= 5
+    for br in family_branches():
+        if br.k_max is not None:
+            continue
+        ks = [k for k in range(200) if br.member_fn(k) is not None]
+        assert ks[0] <= 5, br.id
+        assert all(b - a <= 2 for a, b in zip(ks, ks[1:])), br.id
+        assert ks[-1] >= 198, br.id
+
+
+def test_bases_stop_at_k_max():
+    # a growing stand-in base, so a walk that ignored k_max would still end
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return frozenset({k + 3})
+
+    constant = [br for br in family_branches() if br.k_max == 0]
+    assert len(constant) == 9
+    for br in constant:
+        calls.clear()
+        probe = dataclasses.replace(br, member_fn=counted)
+        assert list(probe.bases(100)) == [(0, frozenset({3}))], br.id
+        assert calls == [0], br.id
+        assert probe.try_member(0, 1) is None
+
+
+def test_matching_the_c5_system_walks_few_bases():
+    calls = []
+
+    def counted(f):
+        def member_fn(k):
+            calls.append(k)
+            return f(k)
+        return member_fn
+
+    G = make_group([5])
+    branches = [
+        dataclasses.replace(br, member_fn=counted(br.member_fn))
+        for br in family_branches(G)
+    ]
+    system = bounded_system(G, None, 20)
+    assert len(system) == 40
+    for entry in system.entries:
+        assert any(True for br in branches for _ in br.matches(entry.lengths))
+    # k_max ends the constant branches' walks at once: 1,355 calls
+    assert len(calls) <= 1400
 
 
 def test_base_min_never_decreases():

@@ -1,0 +1,75 @@
+"""Golden verification reports.
+
+The catalog targets take their branches, family names and presentation pairs
+from the family registry, and T36 takes its expected sets from the
+T36-INTERSECT branch; these pinned reports show that nothing read off the
+registry changed what a target checks.
+"""
+
+import pytest
+
+from zerolen import run_verification
+
+
+def _report(target, bounds, checks):
+    return {
+        "target": target,
+        "status": "pass",
+        "bounds": bounds,
+        "checks": checks,
+        "counterexamples": [],
+    }
+
+
+GOLDEN = {
+    "P33": _report(
+        "P33",
+        {"C2xC2": 18, "C2xC2xC2": 16, "C3": 18, "C4": 16},
+        [
+            "soundness C3 bound 18: 16 distinct sets, 0 unmatched",
+            "soundness C2xC2 bound 18: 22 distinct sets, 0 unmatched",
+            "soundness C4 bound 16: 26 distinct sets, 0 unmatched",
+            "soundness C2xC2xC2 bound 16: 29 distinct sets, 0 unmatched",
+            "completeness P33-C3C22/P33-C4/P33-C23: 145 witnesses, 0 mismatches",
+        ],
+    ),
+    "T41": _report(
+        "T41",
+        {"C3xC3": 16},
+        [
+            "soundness C3xC3 bound 16: 23 distinct sets, 0 unmatched",
+            "completeness T41: 40 witnesses, 0 mismatches",
+            "presentation equivalence T41 bound 30: equal",
+        ],
+    ),
+    "T46": _report(
+        "T46",
+        {"C5": 20},
+        [
+            "soundness C5 bound 20: 40 distinct sets, 0 unmatched",
+            "completeness T46: 130 witnesses, 0 mismatches",
+        ],
+    ),
+    "T47": _report(
+        "T47",
+        {"C2xC4": 16},
+        [
+            "soundness C2xC4 bound 16: 39 distinct sets, 0 unmatched",
+            "completeness T47: 93 witnesses, 0 mismatches",
+            "presentation equivalence T47-L2 bound 30: equal",
+        ],
+    ),
+    "T36": _report(
+        "T36",
+        {"max": 9},
+        [
+            "base constructions p in {3,5}, k <= 5 verified",
+            "intersection over 8 groups: 22 sets, expected 22",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(GOLDEN))
+def test_report_matches_golden(target):
+    assert run_verification(target).as_dict() == GOLDEN[target]
