@@ -4,8 +4,18 @@ A numerical monoid is the additive submonoid of the nonnegative integers
 generated by a minimal system n1 < ... < nt with gcd 1 (a common gcd d > 1 is
 tolerated and handled by rescaling, which leaves all factorization lengths
 unchanged).  Length sets come from a single lazily grown dynamic-programming
-table per monoid; everything downstream is exact integer and rational
-arithmetic.
+table per monoid: entry v is the bitmask with bit k set iff v is a sum of k
+generators.  Each check grows the table once, to its own bound, under one
+budget charge, and then reads only what it needs from the masks:
+
+* the elasticity gap needs min L(a) and max L(a) only, which are the lowest
+  and the highest set bit of the mask, so no length set is ever listed;
+* in a product, L(a1, ..., an) is the sumset L(a1) + ... + L(an), so it is
+  fixed by the shapes L(ai) - min L(ai) together with the sum of the minima;
+  ``y_L_bound`` searches combinations of shapes and expands to elements only
+  for a combination whose sumset has the target's shape.
+
+Everything is exact integer and rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
-from typing import Iterable, Optional, Sequence as Seq
+from typing import Iterable, Iterator, Sequence as Seq
 
 from .budget import NodeCounter
 from .families import G3, G33, family_members_up_to
@@ -83,6 +93,19 @@ class NumericalMonoid:
             raise ValueError(f"{a} is not in {self}")
         return a // self.scale
 
+    def _member_masks(self, bound: int) -> Iterator[tuple[int, int]]:
+        """(a, length mask of a) for every member a <= bound, ascending.
+
+        The table grows once, to bound, under one budget charge; only
+        multiples of the scale are visited.
+        """
+        top = bound // self.scale
+        self._grow(top)
+        t = self._table
+        for v in range(top + 1):
+            if t[v]:
+                yield v * self.scale, t[v]
+
     def contains(self, a: int) -> bool:
         if a < 0 or a % self.scale:
             return False
@@ -149,8 +172,8 @@ class NumericalMonoid:
         if len(self.generators) < 2:
             raise ValueError("no element with two lengths found (half-factorial?)")
         n1, n2 = self.generators[:2]
-        for a in range(1, n1 * n2):
-            if self.contains(a) and len(self.length_set(a)) >= 2:
+        for a, mask in self._member_masks(n1 * n2 - 1):
+            if mask & (mask - 1):  # two or more bits: two or more lengths
                 return a
         return n1 * n2
 
@@ -205,19 +228,31 @@ class GapReport:
         return not self.counterexamples
 
 
+def _length_extremes(H: NumericalMonoid, bound: int) -> Iterator[tuple[int, int, int]]:
+    """(a, min L(a), max L(a)) for every nonzero member a <= bound.
+
+    Bit k of a's table mask is set iff k is a length of a, so min L is the
+    index of the lowest set bit and max L that of the highest.
+    """
+    for a, mask in H._member_masks(bound):
+        if a:
+            yield a, (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+
+
 def verify_elasticity_gap(H: NumericalMonoid, bound: int) -> GapReport:
-    """Check rho(L(a)) in {1} u [beta, inf) for every member a <= bound."""
+    """Check rho(L(a)) in {1} u [beta, inf) for every member a <= bound.
+
+    rho(L(a)) = max L(a) / min L(a) reads only the two extreme bits of a's
+    table mask, and the comparison with beta is made in integers, so the
+    check costs one table growth plus constant work per member.
+    """
     gap = beta_gap(H)
-    H._grow(bound // H.scale)  # the whole sweep under one budget
+    num, den = gap.beta.numerator, gap.beta.denominator
     bad = []
     checked = 0
-    for a in range(1, bound + 1):
-        if not H.contains(a):
-            continue
+    for a, lo, hi in _length_extremes(H, bound):
         checked += 1
-        L = H.length_set(a)
-        r = Fraction(L[-1], L[0])
-        if r != 1 and r < gap.beta:
+        if hi != lo and hi * den < num * lo:
             bad.append(a)
     return GapReport(gap, bound, checked, tuple(bad))
 
@@ -266,6 +301,58 @@ class YLReport:
         return not self.violations
 
 
+def _sumset(masks: Iterable[int]) -> int:
+    """Bitmask of the sumset of the sets given as bitmasks."""
+    acc = 1
+    for mask in masks:
+        out = 0
+        for k in mask_to_lengths(mask):
+            out |= acc << k
+        acc = out
+    return acc
+
+
+def _realizing_elements(
+    factors: Seq[NumericalMonoid],
+    Lset: Lengths,
+    y_lo: int,
+    y_hi: int,
+    search_bound: int,
+) -> list[tuple[int, ...]]:
+    """Every (a1, ..., an) with components <= search_bound whose length set
+    L(a1) + ... + L(an) equals y + Lset for some y in [y_lo, y_hi], in
+    lexicographic order.
+
+    The sumset is the sumset of the shapes L(ai) - min L(ai), shifted by the
+    sum of the minima.  So the members of each factor are grouped by shape,
+    each combination of shapes costs one budget node, and only a combination
+    whose sumset equals Lset - min Lset is expanded to its elements, one node
+    each, keeping those whose sum of minima lies in min Lset + [y_lo, y_hi].
+    """
+    target = 0
+    for v in Lset:
+        target |= 1 << (v - Lset[0])
+    by_shape: list[dict[int, list[tuple[int, int]]]] = []
+    for H in factors:
+        shapes: dict[int, list[tuple[int, int]]] = {}
+        for a, mask in H._member_masks(search_bound):
+            lo = (mask & -mask).bit_length() - 1
+            shapes.setdefault(mask >> lo, []).append((a, lo))
+        by_shape.append(shapes)
+    found = []
+    tick = NodeCounter().tick
+    for combo in iter_product(*(shapes.items() for shapes in by_shape)):
+        tick()
+        if _sumset(shape for shape, _ in combo) != target:
+            continue
+        for elems in iter_product(*(members for _, members in combo)):
+            tick()
+            if y_lo <= sum(lo for _, lo in elems) - Lset[0] <= y_hi:
+                found.append(tuple(a for a, _ in elems))
+    found.sort()
+    return found
+
+
 def y_L_bound(
     D: ProductMonoid,
     L: Iterable[int],
@@ -275,9 +362,12 @@ def y_L_bound(
     """Shift bound past which y + L is never a length set of the product.
 
     Uses the canonical per-factor witnesses (smallest element with two
-    lengths) for the bound |L| * sum M(a_i), then sweeps all elements with
+    lengths) for the bound |L| * sum M(a_i), then checks every element with
     components up to the search bound to confirm no length set equals y + L
-    for y in [y_L, y_L + window].
+    for y in [y_L, y_L + window].  The check searches combinations of the
+    factors' length-set shapes rather than of their elements (see
+    ``_realizing_elements``); the violations come out in the lexicographic
+    order of the elements.
     """
     if D.free_rank:
         raise ValueError("the non-realizability bound assumes a trivial free part")
@@ -290,18 +380,9 @@ def y_L_bound(
     y_l = len(Lset) * sum(
         H.strongly_primary_bound(H.smallest_nonunique()) for H in D.factors
     )
-    targets = {
-        tuple(v + y for v in Lset) for y in range(y_l, y_l + window + 1)
-    }
-    members = []
-    for H in D.factors:
-        members.append([a for a in range(search_bound + 1) if H.contains(a)])
-    violations = []
-    tick = NodeCounter().tick  # one node per combination
-    for combo in iter_product(*members):
-        tick()
-        if D.length_set((0, combo)) in targets:
-            violations.append(combo)
+    violations = _realizing_elements(
+        D.factors, Lset, y_l, y_l + window, search_bound
+    )
     return YLReport(y_l, (y_l, y_l + window), search_bound, tuple(violations))
 
 
@@ -342,10 +423,8 @@ def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int = 20) -> Thm57R
     # every length of a is at least a / nt, so nothing above nt * bound can
     # contribute a set with max <= bound
     a_cap = D1.generators[-1] * bound
-    for a in range(a_cap + 1):
-        if not D1.contains(a):
-            continue
-        L = D1.length_set(a)
+    for _, mask in D1._member_masks(a_cap):
+        L = mask_to_lengths(mask)
         observed.update(length_delta(L))
         for y in range(0, bound - L[-1] + 1):
             realized.add(tuple(v + y for v in L))

@@ -337,10 +337,14 @@ def bounded_intersection(
 
     Candidates come from an exhaustive bounded system of the smallest group
     (whose closed form makes it the minimal system), so nothing outside it can
-    lie in the intersection.  A candidate must match the T36-INTERSECT branch
-    y + 2k + [0,k]; its membership in each group is certified by the
-    engine-verified ``intersection_witness(g, y, k)``, and the reported
-    per-group bound is the longest witness used.
+    lie in the intersection.  Every atom has length at most D(G), so a
+    sequence B with max L(B) <= max_value has |B| <= D(G) * max_value: the
+    base system is swept to that bound, and every set up to max_value is a
+    candidate (over the node budget the sweep raises ``ResourceLimitError``).
+    A candidate must match the T36-INTERSECT branch y + 2k + [0,k]; its
+    membership in each group is certified by the engine-verified
+    ``intersection_witness(g, y, k)``, and the reported per-group bound is the
+    longest witness used.
     """
     gs = sorted(set(groups), key=lambda g: (g.order, g.invariant_factors))
     if not gs:
@@ -348,7 +352,8 @@ def bounded_intersection(
     if any(g.order < 3 for g in gs):
         raise ValueError("the intersection statement needs |G| >= 3")
     base = gs[0]
-    base_sys = bounded_system(base, base.elements, default_bound(base))
+    base_bound = enumerate_atoms(base).davenport * max_value
+    base_sys = bounded_system(base, base.elements, base_bound)
     candidates = [L for L in base_sys.length_sets() if L[-1] <= max_value]
     if len(gs) == 1:
         return IntersectionReport(

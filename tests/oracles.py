@@ -3,7 +3,8 @@
 Everything here enumerates explicitly (products of multiplicity ranges,
 recursive factorization search) and deliberately avoids the pruned search,
 the memoized recursion and the packed sweep of the package under test.  The
-only shared ingredient is elementwise group arithmetic.
+only shared ingredient is elementwise group arithmetic.  The numerical-monoid
+oracles work on plain sets of lengths, never on the package's bitmask table.
 """
 
 from __future__ import annotations
@@ -103,3 +104,35 @@ def naive_lengths(group: FiniteAbelianGroup, seq: Sequence) -> tuple[int, ...]:
 
     rec(seq, 0, 0)
     return tuple(sorted(out))
+
+
+def naive_numerical_lengths(gens, bound: int) -> dict[int, frozenset]:
+    """{a: L(a)} for every member a <= bound of the monoid generated by gens.
+
+    Plain set recursion L(a) = union over g of 1 + L(a - g); no bitmasks.
+    """
+    lengths: dict[int, frozenset] = {0: frozenset({0})}
+    for a in range(1, bound + 1):
+        found = set()
+        for g in gens:
+            if a - g in lengths:
+                found.update(k + 1 for k in lengths[a - g])
+        if found:
+            lengths[a] = frozenset(found)
+    return lengths
+
+
+def naive_realizing_elements(factor_gens, L, y_range, search_bound: int):
+    """Every element of the product, components <= search_bound, whose length
+    set is y + L for some y in y_range: a loop over all element combinations
+    that adds the factors' length sets elementwise."""
+    tables = [naive_numerical_lengths(gens, search_bound) for gens in factor_gens]
+    targets = {frozenset(v + y for v in L) for y in y_range}
+    out = []
+    for combo in product(*(sorted(t) for t in tables)):
+        acc = {0}
+        for table, a in zip(tables, combo):
+            acc = {s + k for s in acc for k in table[a]}
+        if frozenset(acc) in targets:
+            out.append(combo)
+    return out

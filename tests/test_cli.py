@@ -122,3 +122,73 @@ def test_numerical_budget_exit_code(capsys, monkeypatch, argv):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_GAP_23 = {"beta": "10/9", "monoid": "<2,3>", "counterexamples": [], "status": "pass"}
+_57_FAILS = {"extra": [], "missing": [], "status": "hypothesis-not-met"}
+
+
+@pytest.mark.parametrize(
+    "argv,code,payload",
+    [
+        (["verify-gap", "2,3", "--bound", "5000"], 0, {**_GAP_23, "checked": 4999}),
+        (
+            ["verify-gap", "2,5", "--bound", "5000"], 0,
+            {"beta": "9/8", "checked": 4998, "counterexamples": [],
+             "monoid": "<2,5>", "status": "pass"},
+        ),
+        (
+            ["verify-gap", "3,4,5", "--bound", "5000"], 0,
+            {**_GAP_23, "checked": 4998, "monoid": "<3,4,5>"},
+        ),
+        (
+            ["verify-gap", "4,6", "--bound", "400"], 0,
+            {**_GAP_23, "checked": 199, "monoid": "<4,6>"},
+        ),
+        (
+            ["verify-56", "2,3;2,3", "--bound", "160"], 0,
+            {"L": [2, 3], "factors": ["<2,3>", "<2,3>"], "status": "pass",
+             "violations": [], "window": [16, 26], "y_L": 16},
+        ),
+        (
+            ["verify-56", "2,3;2,3;2,3", "--bound", "40"], 0,
+            {"L": [2, 3], "factors": ["<2,3>", "<2,3>", "<2,3>"], "status": "pass",
+             "violations": [], "window": [24, 34], "y_L": 24},
+        ),
+        (
+            ["verify-57", "2,3", "--case", "b2"], 0,
+            {"case": "b2", "extra": [], "hypothesis_failures": [], "missing": [],
+             "monoid": "<2,3>", "status": "pass"},
+        ),
+        (
+            ["verify-57", "2,5", "--case", "b2"], 1,
+            {**_57_FAILS, "case": "b2", "monoid": "<2,5>", "hypothesis_failures": [
+                "elasticity 5/2 != 3/2", "min distance 3 != 1",
+                "observed distances [3] != {1}", "[2,3] not realized up to the bound",
+            ]},
+        ),
+        (
+            ["verify-57", "2,3", "--case", "b3"], 1,
+            {**_57_FAILS, "case": "b3", "monoid": "<2,3>", "hypothesis_failures": [
+                "elasticity 3/2 != 5/2", "[2,5] not realized up to the bound",
+            ]},
+        ),
+        (
+            ["verify-57", "2,5", "--case", "b3"], 1,
+            {**_57_FAILS, "case": "b3", "monoid": "<2,5>", "hypothesis_failures": [
+                "min distance 3 != 1", "observed distances [3] != {1}",
+                "[2,5] not realized up to the bound",
+            ]},
+        ),
+    ],
+)
+def test_numerical_outputs_match_golden(capsys, argv, code, payload):
+    assert run_json(capsys, "nm", *argv) == (code, payload)
+
+
+def test_intersection_sweeps_the_base_to_davenport_times_max(capsys):
+    # [14, 21] = L((1)^21 (2)^21) over C3 needs a sequence of length 42
+    code, payload = run_json(capsys, "intersect", "3", "5", "--max-value", "30")
+    assert code == 0 and payload["unconfirmed"] == []
+    assert [14, 15, 16, 17, 18, 19, 20, 21] in payload["sets"]
+    assert max(L[-1] for L in payload["sets"]) == 30

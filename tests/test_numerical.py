@@ -11,6 +11,9 @@ from zerolen import (
     verify_thm57_case,
     y_L_bound,
 )
+from zerolen.numerical import _length_extremes, _realizing_elements
+
+from oracles import naive_numerical_lengths, naive_realizing_elements
 
 
 def test_length_set_examples():
@@ -158,3 +161,56 @@ def test_thm57_cases():
     assert any("3" in h for h in rep.hypothesis_failures)
     rep2 = verify_thm57_case(NumericalMonoid([2, 3]), "b3", 20)
     assert rep2.status == "hypothesis-not-met"
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against tests/oracles.py
+# ---------------------------------------------------------------------------
+
+PRODUCTS = [
+    (((2, 3), (2, 3)), 40),
+    (((2, 5), (3, 4, 5)), 40),
+    (((2, 3), (2, 3), (2, 3)), 16),
+    (((3, 5), (2, 7)), 40),
+]
+TARGET_SETS = [(2, 3), (2, 4), (3,), (2, 3, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("factor_gens,search", PRODUCTS)
+def test_shape_search_matches_the_product_loop(factor_gens, search):
+    factors = [NumericalMonoid(g) for g in factor_gens]
+    found = 0
+    for L in TARGET_SETS:
+        got = _realizing_elements(factors, L, 0, 11, search)
+        assert got == naive_realizing_elements(factor_gens, L, range(0, 12), search)
+        found += len(got)
+    assert found  # y starts at 0, so small elements realize the targets
+
+
+@pytest.mark.parametrize(
+    "gens", [(2, 3), (3, 4, 5), (7, 9, 17), (4, 6, 9), (5, 7, 11, 13)]
+)
+def test_gap_extremes_match_length_sets(gens):
+    H = NumericalMonoid(gens)
+    want = []
+    for a in range(1, 801):
+        if H.contains(a):
+            L = H.length_set(a)
+            want.append((a, L[0], L[-1]))
+    assert list(_length_extremes(H, 800)) == want
+    naive = naive_numerical_lengths(gens, 800)
+    assert [(a, min(naive[a]), max(naive[a])) for a in sorted(naive) if a] == want
+
+
+@pytest.mark.parametrize("gens,bound", [((4, 6), 400), ((6, 10, 14), 600)])
+def test_gap_check_on_scaled_monoids(gens, bound):
+    H = NumericalMonoid(gens)
+    rep = verify_elasticity_gap(H, bound)
+    assert rep.checked == sum(H.contains(a) for a in range(1, bound + 1))
+    beta = rep.gap.beta
+    naive = naive_numerical_lengths(gens, bound)
+    bad = [
+        a for a in sorted(naive)
+        if a and 1 != Fraction(max(naive[a]), min(naive[a])) < beta
+    ]
+    assert list(rep.counterexamples) == bad
