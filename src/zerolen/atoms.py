@@ -102,12 +102,9 @@ def enumerate_atoms(
 
     Results are cached per (group, subset).
     """
-    if subset is None:
-        elems = group.nonzero_elements
-    else:
-        elems = tuple(
-            sorted({group.validate(g) for g in subset}, key=group.index)
-        )
+    elems = (
+        group.nonzero_elements if subset is None else group.canonical_subset(subset)
+    )
     key = (group.invariant_factors, elems)
     cached = _CATALOGS.get(key)
     if cached is not None:
@@ -142,7 +139,7 @@ def extract_half_factorial_subset(
     Searches singletons first, then increasing subset sizes; for finite groups
     a singleton always qualifies, so this cannot fail on nonempty input.
     """
-    elems = tuple(sorted({group.validate(g) for g in subset}, key=group.index))
+    elems = group.canonical_subset(subset)
     if not elems:
         raise ValueError("subset must be nonempty")
     for size in range(1, len(elems) + 1):

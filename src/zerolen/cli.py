@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .atoms import classify_c2c4, enumerate_atoms
 from .budget import ResourceLimitError
@@ -52,12 +51,6 @@ def _emit(payload: dict, as_json: bool) -> None:
         return
     for key, value in payload.items():
         print(f"{key}: {value}")
-
-
-def _bound_for(group, args) -> int:
-    if args.max_len is not None:
-        return args.max_len
-    return default_bound(group)
 
 
 def _gens(text: str) -> NumericalMonoid:
@@ -105,9 +98,8 @@ def cmd_lengths(args) -> int:
 
 def cmd_system(args) -> int:
     group = parse_group(args.group)
-    bound = _bound_for(group, args)
     subset = group.elements if args.with_zero else None
-    system = bounded_system(group, subset, bound)
+    system = bounded_system(group, subset, args.max_len)
     sets = []
     for entry in system.entries:
         row = {"lengths": list(entry.lengths), "min_length": entry.min_length}
@@ -117,7 +109,7 @@ def cmd_system(args) -> int:
     _emit(
         {
             "group": group.label,
-            "bound": bound,
+            "bound": system.bound,
             "count": len(system),
             "observed_delta": list(observed_delta(system)),
             "sets": sets,
@@ -129,7 +121,7 @@ def cmd_system(args) -> int:
 
 def cmd_delta_star(args) -> int:
     group = parse_group(args.group)
-    bound = _bound_for(group, args)
+    bound = default_bound(group) if args.max_len is None else args.max_len
     _emit(
         {
             "group": group.label,
@@ -160,8 +152,8 @@ def cmd_rho_k(args) -> int:
 
 def cmd_compare(args) -> int:
     ga, gb = parse_group(args.group_a), parse_group(args.group_b)
-    sa = bounded_system(ga, ga.elements, _bound_for(ga, args))
-    sb = bounded_system(gb, gb.elements, _bound_for(gb, args))
+    sa = bounded_system(ga, ga.elements, args.max_len)
+    sb = bounded_system(gb, gb.elements, args.max_len)
     rep = compare_systems(sa, sb)
     _emit(
         {
@@ -257,7 +249,7 @@ def cmd_nm(args) -> int:
                 "a": args.a,
                 "lengths": list(L),
                 "delta": list(delta(L)),
-                "rho": str(Fraction(L[-1], L[0]) if L[0] else 1),
+                "rho": str(rho(L)),
             },
             args.json,
         )

@@ -130,6 +130,10 @@ class FiniteAbelianGroup:
             raise ValueError(f"{g!r} is not an element of {self}")
         return g
 
+    def canonical_subset(self, subset: Iterable[Element]) -> tuple[Element, ...]:
+        """The distinct elements of ``subset``, validated, in index order."""
+        return tuple(sorted({self.validate(g) for g in subset}, key=self.index))
+
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors))
 

@@ -119,14 +119,14 @@ def packed_sweep(
     support: tuple[Element, ...],
     caps: list[int],
     limit: int,
-    counter: NodeCounter,
 ) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
     """The layout and the levels 0..limit of the capped sweep over ``support``.
 
     Level s maps each packed zero-sum multiset of size s, with multiplicity
     at most ``caps[i]`` of ``support[i]``, to its length bitmask.  Levels are
     yielded in size order and dropped by the sweep once expanded, so a caller
-    keeps only what it stores.  ``counter`` ticks once per state expanded.
+    keeps only what it stores.  The sweep's own budget counter ticks once per
+    state as a level is expanded, after the caller has received that level.
     """
     catalog = enumerate_atoms(group, support)
     layout = PackedLayout(group, support, max(caps, default=0) + catalog.davenport)
@@ -140,19 +140,20 @@ def packed_sweep(
         [atom for atom, low in zip(atoms, lows) if low <= i]
         for i in range(max(len(support), 1))
     ]
-    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit, counter)
+    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit)
     return layout, levels
 
 
-def _levels(by_pivot, bits, ceiling, guard, limit, counter):
+def _levels(by_pivot, bits, ceiling, guard, limit):
     """Yield each level once every push into it is done, then expand it."""
+    tick = NodeCounter().tick
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level
     for s in range(limit + 1):
         cur = pending.pop(s, {})
         yield cur
         if not cur:
             continue
-        counter.tick(len(cur))
+        tick(len(cur))
         room = limit - s
         pushes = [
             [
@@ -202,18 +203,13 @@ class LengthEngine:
         """Length bitmask of the core by a sweep capped at its multiplicities.
 
         The top level of that sweep holds one state, the core itself.  The
-        budget covers this one sweep.
+        budget covers this one sweep; ``nodes`` adds each level as it arrives,
+        which is the sweep's own charge for it, even when the budget runs out.
         """
         caps = [m for _, m in core]
-        counter = NodeCounter()
-        try:
-            _, levels = packed_sweep(
-                self.group, tuple(g for g, _ in core), caps, sum(caps), counter
-            )
-            for top in levels:
-                pass
-        finally:
-            self.nodes += counter.count
+        _, levels = packed_sweep(self.group, tuple(g for g, _ in core), caps, sum(caps))
+        for top in levels:
+            self.nodes += len(top)
         (mask,) = top.values()
         return mask
 

@@ -29,9 +29,7 @@ from typing import Iterable, Iterator, Sequence as Seq
 
 from .budget import NodeCounter
 from .families import G3, G33, family_members_up_to
-from .lengths import delta as length_delta, mask_to_lengths
-
-Lengths = tuple[int, ...]
+from .lengths import Lengths, delta as length_delta, mask_to_lengths
 
 
 class NumericalMonoid:
@@ -59,9 +57,18 @@ class NumericalMonoid:
                     f"generator {self.generators[i]} is redundant in {self.generators}"
                 )
 
-    @cached_property
+    @property
     def frobenius(self) -> int:
-        """Largest core-unit integer outside the monoid (-1 when none)."""
+        """d * F(core): the largest multiple of the gcd d outside the monoid.
+
+        For generators with gcd 1 this is the Frobenius number.  It is -1
+        when the core has no gaps (then d * F(core) = -d <= -1).
+        """
+        return max(self.scale * self._core_frobenius, -1)
+
+    @cached_property
+    def _core_frobenius(self) -> int:
+        """Largest core-unit integer outside the core monoid (-1 when none)."""
         if self._core[0] == 1:
             return -1
         n1, nt = self._core[0], self._core[-1]
@@ -88,10 +95,13 @@ class NumericalMonoid:
             t.append(mask << 1 if mask else 0)
         # note: t[v] bits give factorization lengths; empty mask = not a member
 
-    def _core_value(self, a: int) -> int:
+    def _mask(self, a: int) -> int:
+        """Bit k set iff k is a length of a; 0 when a is not a member."""
         if a < 0 or a % self.scale:
-            raise ValueError(f"{a} is not in {self}")
-        return a // self.scale
+            return 0
+        v = a // self.scale
+        self._grow(v)
+        return self._table[v]
 
     def _member_masks(self, bound: int) -> Iterator[tuple[int, int]]:
         """(a, length mask of a) for every member a <= bound, ascending.
@@ -107,17 +117,11 @@ class NumericalMonoid:
                 yield v * self.scale, t[v]
 
     def contains(self, a: int) -> bool:
-        if a < 0 or a % self.scale:
-            return False
-        v = a // self.scale
-        self._grow(v)
-        return self._table[v] != 0
+        return self._mask(a) != 0
 
     def length_set(self, a: int) -> Lengths:
         """{k : a is a sum of k generators}; errors when a is not a member."""
-        v = self._core_value(a)
-        self._grow(v)
-        mask = self._table[v]
+        mask = self._mask(a)
         if mask == 0:
             raise ValueError(f"{a} is not in {self}")
         return mask_to_lengths(mask)
@@ -142,26 +146,18 @@ class NumericalMonoid:
     def strongly_primary_bound(self, a: int) -> int:
         """Least n such that every sum of n nonzero elements lies in a + H.
 
-        Only values up to a + frobenius need checking: anything larger is in
-        a + H automatically.  A value v is a sum of n nonzero elements exactly
-        when max L(v) >= n.
+        Only values up to a + d * F(core) need checking: anything larger is
+        in a + H automatically.  A value v is a sum of n nonzero elements
+        exactly when max L(v) >= n.
         """
-        v = self._core_value(a)
-        if v == 0:
-            raise ValueError("the bound is defined for nonzero elements only")
         if not self.contains(a):
             raise ValueError(f"{a} is not in {self}")
-        hi = v + max(self.frobenius, 0)
-        self._grow(hi)
+        if a == 0:
+            raise ValueError("the bound is defined for nonzero elements only")
         worst = 0
-        for w in range(hi + 1):
-            mask = self._table[w]
-            if mask == 0:
-                continue
-            diff = w - v
-            if diff >= 0 and self._table[diff] != 0:
-                continue  # w - a is a member, no constraint
-            worst = max(worst, mask.bit_length() - 1)
+        for w, mask in self._member_masks(a + self.scale * self._core_frobenius):
+            if not self._mask(w - a):  # w - a is no member: w constrains n
+                worst = max(worst, mask.bit_length() - 1)
         return worst + 1
 
     def smallest_nonunique(self) -> int:
@@ -282,11 +278,13 @@ class ProductMonoid:
             raise ValueError("monoid has no free factor")
         if len(comps) != len(self.factors):
             raise ValueError("one value per factor required")
-        acc = {0}
+        masks = []
         for H, a in zip(self.factors, comps):
-            Ls = H.length_set(a)
-            acc = {s + l for s in acc for l in Ls}
-        return tuple(sorted(v + y for v in acc))
+            mask = H._mask(a)
+            if mask == 0:
+                raise ValueError(f"{a} is not in {H}")
+            masks.append(mask)
+        return tuple(v + y for v in mask_to_lengths(_sumset(masks)))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,10 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
-from .budget import NodeCounter
 from .families import INTERSECTION, family_branches, intersection_witness
 from .groups import Element, FiniteAbelianGroup
-from .lengths import delta, engine_for, mask_to_lengths, packed_sweep
+from .lengths import Lengths, delta, engine_for, mask_to_lengths, packed_sweep
 from .sequences import Sequence
-
-Lengths = tuple[int, ...]
 
 
 def default_bound(group: FiniteAbelianGroup) -> int:
@@ -85,14 +82,12 @@ def bounded_system(
     if bound < 0:
         raise ValueError("bound must be >= 0")
     elems = (
-        group.nonzero_elements
-        if subset is None
-        else tuple(sorted({group.validate(g) for g in subset}, key=group.index))
+        group.nonzero_elements if subset is None else group.canonical_subset(subset)
     )
     with_zero = group.zero in elems
     support = tuple(g for g in elems if g != group.zero)
     caps = [bound] * len(support)
-    layout, levels = packed_sweep(group, support, caps, bound, NodeCounter())
+    layout, levels = packed_sweep(group, support, caps, bound)
 
     best: dict[int, tuple[int, int]] = {}  # mask -> (size, state)
     for size, level in enumerate(levels):
@@ -144,81 +139,72 @@ class RhoKCertificate:
     witness_lengths: Optional[Lengths]
 
 
-def _rho_k_from_system(system: BoundedSystem, k: int):
-    best, best_entry, best_shift = k, None, k
-    for entry in system.entries:
-        top = entry.lengths[-1]
-        for j in entry.lengths:
-            if j > k:
-                break
-            cand = (k - j) + top
-            if cand > best:
-                best, best_entry, best_shift = cand, entry, k - j
-    return best, best_entry, best_shift
+def _best_shift(k: int, candidates: Iterable[tuple[Iterable[int], object]]):
+    """(value, source, shift): the largest max(y + L) with k in y + L.
+
+    ``candidates`` yields (L, source) pairs.  For one L the best shift is
+    y = k - min L, worth k - min L + max L, and L qualifies when min L <= k.
+    On a tie the first candidate wins; with none the value is k, source None.
+    """
+    best = (k, None, 0)
+    for lengths, source in candidates:
+        lo, hi = min(lengths), max(lengths)
+        if lo <= k and k - lo + hi > best[0]:
+            best = (k - lo + hi, source, k - lo)
+    return best
 
 
 def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     """Largest max L over bounded length sets containing k, as a certificate.
 
     When the complete sweep up to k*D(G) is affordable the value is exact by
-    exhaustion.  Otherwise the value comes from engine-verified witness
-    sequences out of the family tables and is certified exact whenever it
-    meets the arithmetic cap floor(k*D/2) (every factorization of a product
-    of k atoms has between |B|/D and |B|/2 factors).
+    exhaustion.  Otherwise it comes from the witness route
+    (``_rho_k_by_witness``).  Both routes take the best shift of each
+    candidate set with one scan (``_best_shift``).
     """
     if k < 2:
         raise ValueError("rho_k needs k >= 2")
     if group.order < 3:
         return RhoKCertificate(k, k, True, "sweep", 0, None, None)
-    D = enumerate_atoms(group).davenport
-    need = k * D
+    need = k * enumerate_atoms(group).davenport
     m = len(group.nonzero_elements)
-    est = math.comb(need + m, m) // group.order
-    cap = (k * D) // 2
+    if math.comb(need + m, m) // group.order > 600_000:
+        return _rho_k_by_witness(group, k)
+    system = bounded_system(group, None, need)
+    value, entry, shift = _best_shift(k, ((e.lengths, e) for e in system.entries))
+    wit = entry.witness.with_zeros(shift) if entry else None
+    wl = tuple(v + shift for v in entry.lengths) if entry else None
+    return RhoKCertificate(k, value, True, "sweep", need, wit, wl)
 
-    if est <= 600_000:
-        system = bounded_system(group, None, need)
-        value, entry, shift = _rho_k_from_system(system, k)
-        wit = entry.witness.with_zeros(shift) if entry else None
-        wl = tuple(v + shift for v in entry.lengths) if entry else None
-        return RhoKCertificate(k, value, True, "sweep", need, wit, wl)
 
-    # witness route over the family tables
-    engine = engine_for(group)
-    best = (k, None, None)
-    for br in family_branches(group):
-        for kk, base in br.bases(k):
-            top = max(base)
-            for j in base:
-                if j <= k and (k - j) + top > best[0]:
-                    best = ((k - j) + top, br, (kk, k - j))
-    value, br, params = best
+def _rho_k_by_witness(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
+    """rho_k from engine-verified witness sequences out of the family tables.
+
+    The value is certified exact whenever it meets the arithmetic cap
+    floor(k*D/2): every factorization of a product of k atoms has between
+    |B|/D and |B|/2 factors.  The sweep route is this route's oracle.
+    """
+    D = enumerate_atoms(group).davenport
+    value, source, shift = _best_shift(
+        k,
+        ((base, (br, kk)) for br in family_branches(group) for kk, base in br.bases(k)),
+    )
     wit = wl = None
-    if br is not None:
-        kk, shift = params
+    if source is not None:
+        br, kk = source
         wit = br.witness(0, kk).with_zeros(shift)
-        verified = engine.length_set(wit)
-        wl = verified
-        if max(verified) != value or not any(j == k for j in verified):
+        wl = engine_for(group).length_set(wit)
+        if wl[-1] != value or k not in wl:
             raise AssertionError(
-                f"witness for rho_{k} over {group} realized {verified}, "
+                f"witness for rho_{k} over {group} realized {wl}, "
                 f"expected max {value} containing {k}"
             )
-    return RhoKCertificate(k, value, value == cap, "witness", need, wit, wl)
+    return RhoKCertificate(k, value, value == (k * D) // 2, "witness", k * D, wit, wl)
 
 
 # ---------------------------------------------------------------------------
 # distance invariants over all subsets
 # ---------------------------------------------------------------------------
-
-
-def _distance_mask(length_mask: int) -> int:
-    """Bit d set iff d is a distance of the set encoded by length_mask."""
-    vals = mask_to_lengths(length_mask)
-    out = 0
-    for a, b in zip(vals, vals[1:]):
-        out |= 1 << (b - a)
-    return out
 
 
 def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int, ...]:
@@ -234,15 +220,16 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
         bound = default_bound(group)
     support = group.nonzero_elements
     caps = [bound] * len(support)
-    layout, levels = packed_sweep(group, support, caps, bound, NodeCounter())
+    layout, levels = packed_sweep(group, support, caps, bound)
 
     dist_of_mask: dict[int, int] = {}
     by_key: dict[int, int] = {}  # support key -> union of its distance masks
     for level in levels:
         for state, mask in level.items():
             d = dist_of_mask.get(mask)
-            if d is None:
-                d = dist_of_mask[mask] = _distance_mask(mask)
+            if d is None:  # bit g set iff g is a distance of the set
+                d = sum(1 << g for g in delta(mask_to_lengths(mask)))
+                dist_of_mask[mask] = d
             if d:
                 key = layout.support_key(state)
                 by_key[key] = by_key.get(key, 0) | d

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .budget import global_nodes
 from .families import (
@@ -94,23 +94,45 @@ def soundness_check(
     group: FiniteAbelianGroup, bound: int, report: VerificationReport
 ) -> None:
     system = bounded_system(group, None, bound)
-    unmatched = []
+    unmatched = 0
     for entry in system.entries:
         if not match_family(group, entry.lengths):
-            unmatched.append(entry)
-    for entry in unmatched:
-        report.counterexamples.append(
-            Counterexample(
-                "unmatched-length-set",
-                group.label,
-                f"L={list(entry.lengths)}",
-                entry.witness.literal(),
+            unmatched += 1
+            report.counterexamples.append(
+                Counterexample(
+                    "unmatched-length-set",
+                    group.label,
+                    f"L={list(entry.lengths)}",
+                    entry.witness.literal(),
+                )
             )
-        )
     report.checks.append(
         f"soundness {group.label} bound {bound}: {len(system)} distinct sets, "
-        f"{len(unmatched)} unmatched"
+        f"{unmatched} unmatched"
     )
+
+
+def _check_witnesses(report: VerificationReport, kind: str, jobs: Iterable) -> int:
+    """Check L(witness) == expected for each (group, label, witness, expected).
+
+    Each mismatch becomes a ``kind`` counterexample with the detail
+    ``<label>: member=[...] got=[...]``.  Returns the number of jobs checked.
+    """
+    checked = 0
+    for group, label, wit, expected in jobs:
+        checked += 1
+        got = engine_for(group).length_set(wit)
+        want = tuple(sorted(expected))
+        if got != want:
+            report.counterexamples.append(
+                Counterexample(
+                    kind,
+                    group.label,
+                    f"{label}: member={list(want)} got={list(got)}",
+                    wit.literal(),
+                )
+            )
+    return checked
 
 
 def completeness_check(
@@ -118,31 +140,18 @@ def completeness_check(
 ) -> None:
     """Every branch's witness at each sweep k and y <= 4 realizes its member."""
     families = tuple(dict.fromkeys(br.family for br in branches))
-    jobs = [
-        (br, y, k)
+    jobs = (
+        (br.group, f"{br.id}(y={y},k={k})", br.witness(y, k), m)
         for br in branches
         for k in br.sweep_ks
         for y in range(5)
-        if br.try_member(y, k) is not None
-    ]
-
-    bad = 0
-    for br, y, k in jobs:
-        member = tuple(sorted(br.member(y, k)))
-        wit = br.witness(y, k)
-        got = engine_for(br.group).length_set(wit)
-        if got != member:
-            bad += 1
-            report.counterexamples.append(
-                Counterexample(
-                    "witness-mismatch",
-                    br.group.label,
-                    f"{br.id}(y={y},k={k}): member={list(member)} got={list(got)}",
-                    wit.literal(),
-                )
-            )
+        if (m := br.try_member(y, k)) is not None
+    )
+    before = len(report.counterexamples)
+    checked = _check_witnesses(report, "witness-mismatch", jobs)
+    bad = len(report.counterexamples) - before
     report.checks.append(
-        f"completeness {'/'.join(families)}: {len(jobs)} witnesses, {bad} mismatches"
+        f"completeness {'/'.join(families)}: {checked} witnesses, {bad} mismatches"
     )
 
 
@@ -175,22 +184,14 @@ def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
 
 
 def _verify_t36(bound: Optional[int]) -> VerificationReport:
-    hi = bound or 9
+    hi = 9 if bound is None else bound
     report = VerificationReport("T36", "pass", {"max": hi})
-    for p, gname in ((3, G3), (5, G5)):
-        eng = engine_for(gname)
-        for k in range(1, 6):
-            B = intersection_witness(gname, 0, k)
-            got = eng.length_set(B)
-            if got != tuple(sorted(INTERSECTION.member(0, k))):
-                report.counterexamples.append(
-                    Counterexample(
-                        "construction-mismatch",
-                        gname.label,
-                        f"p={p} k={k}: got {list(got)}",
-                        B.literal(),
-                    )
-                )
+    jobs = (
+        (g, f"p={p} k={k}", intersection_witness(g, 0, k), INTERSECTION.member(0, k))
+        for p, g in ((3, G3), (5, G5))
+        for k in range(1, 6)
+    )
+    _check_witnesses(report, "construction-mismatch", jobs)
     report.checks.append("base constructions p in {3,5}, k <= 5 verified")
 
     inter = bounded_intersection(COVERED_GROUPS, max_value=hi)
@@ -216,26 +217,15 @@ def _verify_t36(bound: Optional[int]) -> VerificationReport:
 
 
 def _verify_c24int(bound: Optional[int]) -> VerificationReport:
-    hi = bound or 10
+    hi = 10 if bound is None else bound
     report = VerificationReport("C24INT", "pass", {"max": hi})
-    eng = engine_for(G2_4)
-    realized = 0
-    for l1 in range(2, hi + 1):
-        for l2 in range(l1, hi + 1):
-            if interval_criterion_c24(l1, l2):
-                wit = c24_interval_witness(l1, l2)
-                got = eng.length_set(wit)
-                want = tuple(range(l1, l2 + 1))
-                realized += 1
-                if got != want:
-                    report.counterexamples.append(
-                        Counterexample(
-                            "interval-witness-mismatch",
-                            G2_4.label,
-                            f"[{l1},{l2}] got {list(got)}",
-                            wit.literal(),
-                        )
-                    )
+    jobs = (
+        (G2_4, f"[{l1},{l2}]", c24_interval_witness(l1, l2), range(l1, l2 + 1))
+        for l1 in range(2, hi + 1)
+        for l2 in range(l1, hi + 1)
+        if interval_criterion_c24(l1, l2)
+    )
+    realized = _check_witnesses(report, "interval-witness-mismatch", jobs)
     report.checks.append(f"realized {realized} admissible intervals up to {hi}")
 
     system = bounded_system(G2_4, None, 12)

@@ -31,6 +31,11 @@ def test_membership_and_frobenius():
     assert not H.contains(3) and H.contains(4)
     assert NumericalMonoid([2, 3]).frobenius == 1
     assert NumericalMonoid([1]).frobenius == -1
+    # with gcd d > 1 the value is d * F(core), a multiple of d
+    H = NumericalMonoid([4, 6])
+    assert H.frobenius == 2
+    assert not H.contains(2) and H.contains(4) and not H.contains(3)
+    assert NumericalMonoid([3]).frobenius == -1
 
 
 def test_minimality_validation():

@@ -14,15 +14,15 @@ from zerolen import (
     observed_delta,
     rho_k,
 )
-from zerolen.budget import NodeCounter
 from zerolen.lengths import mask_to_lengths, packed_sweep
+from zerolen.system import _rho_k_by_witness
 
 from oracles import naive_lengths
 
 
 def _bounded_sweep(G, bound):
     support = G.nonzero_elements
-    return packed_sweep(G, support, [bound] * len(support), bound, NodeCounter())
+    return packed_sweep(G, support, [bound] * len(support), bound)
 
 
 def test_bounded_system_examples():
@@ -119,6 +119,25 @@ def test_rho_k_certificates():
     assert (r2.value, r2.exact) == (7, True)
     with pytest.raises(ValueError):
         rho_k(g5, 1)
+
+
+_WITNESS_ROUTE_GROUPS = ([3], [2, 2], [4], [2, 2, 2], [5], [2, 4], [3, 3])
+
+
+@pytest.mark.parametrize(
+    "factors, k",
+    [(f, k) for f in _WITNESS_ROUTE_GROUPS for k in (2, 3)]
+    + [(f, 4) for f in _WITNESS_ROUTE_GROUPS[:6]],
+)
+def test_rho_k_witness_route_matches_the_sweep(factors, k):
+    # the sweep route is exact by exhaustion: it is the witness route's oracle
+    G = make_group(factors)
+    sweep = rho_k(G, k)
+    assert sweep.method == "sweep"
+    cert = _rho_k_by_witness(G, k)
+    assert cert.method == "witness" and cert.value == sweep.value
+    lengths = engine_for(G).length_set(cert.witness)
+    assert k in lengths and lengths[-1] == cert.value
 
 
 def test_delta_star_small_groups():

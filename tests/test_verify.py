@@ -8,7 +8,8 @@ registry changed what a target checks.
 
 import pytest
 
-from zerolen import run_verification
+from zerolen import Sequence, make_group, run_verification
+from zerolen.verify import VerificationReport, _check_witnesses
 
 
 def _report(target, bounds, checks):
@@ -73,3 +74,25 @@ GOLDEN = {
 @pytest.mark.parametrize("target", sorted(GOLDEN))
 def test_report_matches_golden(target):
     assert run_verification(target).as_dict() == GOLDEN[target]
+
+
+def test_explicit_bound_zero_is_honoured():
+    assert run_verification("T36", bound=0).as_dict() == _report(
+        "T36",
+        {"max": 0},
+        [
+            "base constructions p in {3,5}, k <= 5 verified",
+            "intersection over 8 groups: 1 sets, expected 1",
+        ],
+    )
+
+
+def test_witness_mismatch_detail():
+    G = make_group([5])
+    wit = Sequence.build(G, [((1,), 5), ((4,), 5)])  # L = [2, 5]
+    report = VerificationReport("X", "pass", {})
+    jobs = [(G, "ok", wit, (5, 2)), (G, "bad", wit, {2, 3})]
+    assert _check_witnesses(report, "witness-mismatch", jobs) == 2
+    assert [(c.kind, c.group, c.detail) for c in report.counterexamples] == [
+        ("witness-mismatch", "C5", "bad: member=[2, 3] got=[2, 5]")
+    ]
