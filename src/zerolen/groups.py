@@ -16,7 +16,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
+
+from .budget import ResourceLimitError
 
 Element = tuple[int, ...]
 
@@ -151,6 +154,36 @@ class FiniteAbelianGroup:
             ord_ = math.lcm(ord_, n // math.gcd(n, c))
         return ord_
 
+    @cached_property
+    def automorphism_count(self) -> int:
+        """|Aut(G)| by the closed form of Hillar and Rhea, without building it.
+
+        Aut(G) is the product of the automorphism groups of the Sylow
+        subgroups.  For a p-group of type e_1 <= ... <= e_n, with
+        d_k = max{l : e_l = e_k} and c_k = min{l : e_l = e_k}, the order is
+        the product over k of
+        (p^d_k - p^(k-1)) * p^(e_k (n - d_k)) * p^((e_k - 1)(n - c_k + 1)).
+        """
+        per_prime: dict[int, list[int]] = {}
+        for n in self.invariant_factors:
+            for p, e in _factorize(n).items():
+                per_prime.setdefault(p, []).append(e)
+        count = 1
+        for p, es in per_prime.items():
+            es.sort()
+            n = len(es)
+            for k, e in enumerate(es, 1):
+                d = max(l for l in range(1, n + 1) if es[l - 1] == e)
+                c = min(l for l in range(1, n + 1) if es[l - 1] == e)
+                count *= (p**d - p ** (k - 1)) * p ** (e * (n - d))
+                count *= p ** ((e - 1) * (n - c + 1))
+        return count
+
+    @cached_property
+    def automorphisms(self) -> "AutomorphismTree":
+        """Aut(G) as a search tree over the nonzero elements (built on first use)."""
+        return AutomorphismTree(self)
+
     @property
     def label(self) -> str:
         if not self.invariant_factors:
@@ -185,3 +218,156 @@ def davenport_lower_bound(group: FiniteAbelianGroup) -> DavenportBound:
     """1 + sum(n_i - 1); the ``exact`` flag is set for p-groups and rank <= 2."""
     value = 1 + sum(n - 1 for n in group.invariant_factors)
     return DavenportBound(value, group.rank <= 2 or group.is_p_group)
+
+
+# The tree keeps one permutation per automorphism, a few hundred bytes each
+# (8 MB for the 20,160 of C2^4); past this size callers use another method.
+MAX_TREE_AUTOMORPHISMS = 100_000
+
+
+class AutomorphismTree:
+    """Aut(G) as permutations of the nonzero elements, stored as a search tree.
+
+    Position p stands for the nonzero element of index p + 1.  An
+    automorphism is fixed by the images of the generators e_r, ..., e_1
+    (the largest invariant factor first): the image of e_j must have order
+    dividing n_j, and the map must stay injective on the span of the
+    generators chosen so far.  Level j of the tree chooses the image of the
+    j-th generator, and its nodes hold the images of block j: the elements
+    in the span of the first j + 1 generators but not of the first j.  In
+    index order each block is one run of positions, so a permutation's
+    blocks, level by level, are its positions in order.  A node is a pair
+    (getter, children); the getter reads the node's block of v∘φ from a
+    vector v over positions, and a leaf's children are the full permutation
+    tuple, with (v∘φ)[p] = v[φ[p]].
+    """
+
+    def __init__(self, group: FiniteAbelianGroup):
+        if group.automorphism_count > MAX_TREE_AUTOMORPHISMS:
+            raise ResourceLimitError(
+                f"Aut({group.label}) has {group.automorphism_count} elements, "
+                f"more than the tree holds ({MAX_TREE_AUTOMORPHISMS})"
+            )
+        factors = group.invariant_factors[::-1]
+        elems = group.elements
+        index = {g: i for i, g in enumerate(elems)}
+        add = [[index[group.add(a, b)] for b in elems] for a in elems]
+        self.count = group.automorphism_count
+        self.size = len(elems) - 1
+        # a block of one position reads an int, a longer one a tuple
+        self._lows = []
+        span = 1
+        for n in factors:
+            self._lows.append(-1 if (n - 1) * span == 1 else ())
+            span *= n
+        leaves = 0
+
+        def grow(depth: int, img: list[int]) -> list:
+            nonlocal leaves
+            n, taken, kids = factors[depth], set(img), []
+            for h in range(1, len(elems)):
+                multiples, x = [], 0
+                for _ in range(n - 1):
+                    x = add[x][h]
+                    if x in taken:
+                        break
+                    multiples.append(x)
+                else:
+                    if add[x][h]:  # the order of h does not divide n
+                        continue
+                    block = [add[c][y] for c in multiples for y in img]
+                    full = img + block
+                    if depth + 1 == len(factors):
+                        sub = tuple(i - 1 for i in full[1:])
+                        leaves += 1
+                    else:
+                        sub = grow(depth + 1, full)
+                        if not sub:  # no automorphism extends this choice
+                            continue
+                    kids.append((itemgetter(*(b - 1 for b in block)), sub))
+            return kids
+
+        self._root = grow(0, [0]) if factors else ()
+        if factors and leaves != self.count:
+            raise AssertionError(f"Aut({group.label}): {leaves} != {self.count}")
+
+    def canonical(self, v) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """The largest image v∘φ, and every φ that reaches it.
+
+        Breadth-first, level by level: a branch survives while its blocks
+        tie with the best so far, and is cut as soon as one falls below.
+        When v is its own canonical form the survivors are Stab(v).
+        """
+        frontier = [self._root]
+        for best in self._lows:
+            keep = []
+            for kids in frontier:
+                for get, sub in kids:
+                    val = get(v)
+                    if val > best:
+                        best, keep = val, [sub]
+                    elif val == best:
+                        keep.append(sub)
+            frontier = keep
+        return tuple(map(v.__getitem__, frontier[0])), frontier
+
+    @cached_property
+    def _generator_tables(self) -> list[list[list[int]]]:
+        """A generating set of Aut(G), as byte tables acting on position bitmasks.
+
+        Leaves are taken in a fixed scattered order; one joins the set when
+        it lies outside the group the set generates so far, until that
+        group is all of Aut(G).
+        """
+        perms = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):
+                perms.append(node)
+            else:
+                stack.extend(sub for _, sub in node)
+        gens: list[tuple[int, ...]] = []
+        closure = {tuple(range(self.size))}
+        for k in range(1, len(perms) + 1):
+            if len(closure) == self.count:
+                break
+            q = perms[k * 7919 % len(perms)]
+            if q in closure:
+                continue
+            gens.append(q)
+            closure = set(gens)
+            todo = list(gens)
+            while todo:
+                p = todo.pop()
+                for g in gens:
+                    pg = tuple(map(p.__getitem__, g))
+                    if pg not in closure:
+                        closure.add(pg)
+                        todo.append(pg)
+        chunks = [range(c, min(c + 8, self.size)) for c in range(0, self.size, 8)]
+        return [
+            [
+                [
+                    sum(1 << g[p] for p in ps if byte >> p - ps[0] & 1)
+                    for byte in range(256)
+                ]
+                for ps in chunks
+            ]
+            for g in gens
+        ]
+
+    def support_orbit(self, mask: int) -> set[int]:
+        """The Aut(G)-orbit of a set of positions, given as a bitmask."""
+        tables = self._generator_tables
+        orbit, todo = {mask}, [mask]
+        while todo:
+            s = todo.pop()
+            for chunks in tables:
+                t = 0
+                for c, table in enumerate(chunks):
+                    t |= table[s >> 8 * c & 255]
+                if t not in orbit:
+                    orbit.add(t)
+                    todo.append(t)
+        return orbit

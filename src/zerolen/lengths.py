@@ -18,15 +18,25 @@ finished state is one integer addition and one OR.  Two rules keep it small:
   state whose lowest nonzero field is i pushes only the atoms whose lowest
   field is at most i (Knuth's column rule in "Dancing links").
 
-``LengthEngine.length_set`` runs the sweep capped by B's zero-free core and
-keeps only the top state's mask, memoized per core.  Zeros are re-added as a
-shift.  Length sets travel as sorted tuples.
+``orbit_sweep`` runs the same recursion over all nonzero elements with one
+state per Aut(G)-orbit.  It is exact because an automorphism φ maps atoms to
+atoms, so L(φB) = L(B): the orbit of S + A is reached from the canonical
+representative R of S's orbit by pushing A∘φ onto R, and pushes that differ
+by an element of Stab(R) land in one orbit, so one atom per Stab(R)-orbit
+suffices.  A representative is a zero-sum multiset of the same size with the
+same lengths as every member of its orbit, so it is a valid witness with the
+same minimal length.  Its budget counts canonical forms, not states.
+
+``LengthEngine.length_set`` runs the plain sweep capped by B's zero-free
+core and keeps only the top state's mask, memoized per core.  Zeros are
+re-added as a shift.  Length sets travel as sorted tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .atoms import enumerate_atoms
@@ -134,10 +144,16 @@ def packed_sweep(
     atoms = sorted(
         (a.length, layout.pack(a.items)) for a in catalog if a.length <= limit
     )
-    lows = [layout.lowest_field(ak) for _, ak in atoms]
-    # by_pivot[i]: the atoms whose lowest field is at most i, shortest first
+    by_length: dict[int, list[tuple[int, int]]] = {}  # length -> (atom, lowest field)
+    for alen, ak in atoms:
+        by_length.setdefault(alen, []).append((ak, layout.lowest_field(ak)))
+    # by_pivot[i]: the atoms whose lowest field is at most i, as (length,
+    # atoms) buckets, shortest first
     by_pivot = [
-        [atom for atom, low in zip(atoms, lows) if low <= i]
+        [
+            (alen, [ak for ak, low in items if low <= i])
+            for alen, items in by_length.items()
+        ]
         for i in range(max(len(support), 1))
     ]
     levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit)
@@ -145,7 +161,12 @@ def packed_sweep(
 
 
 def _levels(by_pivot, bits, ceiling, guard, limit):
-    """Yield each level once every push into it is done, then expand it."""
+    """Yield each level once every push into it is done, then expand it.
+
+    A pivot's push list pairs each of its atoms with its target level.  It
+    is built from the pivot's length buckets, one target lookup per bucket,
+    when the first state of the level with that pivot needs it.
+    """
     tick = NodeCounter().tick
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level
     for s in range(limit + 1):
@@ -155,21 +176,99 @@ def _levels(by_pivot, bits, ceiling, guard, limit):
             continue
         tick(len(cur))
         room = limit - s
-        pushes = [
-            [
-                (ak, pending.setdefault(s + alen, {}))
-                for alen, ak in atoms
-                if alen <= room
-            ]
-            for atoms in by_pivot
-        ]
+        pushes: list = [None] * len(by_pivot)
         for state, mask in cur.items():
             shifted = mask << 1
             # lowest_field inlined; the empty state's -1 picks the last list
-            for ak, tgt in pushes[((state & -state).bit_length() - 1) // bits]:
+            pivot = ((state & -state).bit_length() - 1) // bits
+            pairs = pushes[pivot]
+            if pairs is None:
+                pairs = pushes[pivot] = []
+                for alen, aks in by_pivot[pivot]:
+                    if alen > room:
+                        break
+                    pairs += zip(aks, repeat(pending.setdefault(s + alen, {})))
+            for ak, tgt in pairs:
                 nk = state + ak
                 if (ceiling - nk) & guard == guard:  # every field within its cap
                     tgt[nk] = tgt.get(nk, 0) | shifted
+
+
+def orbit_sweep(
+    group: FiniteAbelianGroup, limit: int
+) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
+    """The levels 0..limit of the uncapped sweep over all nonzero elements,
+    one state per Aut(G)-orbit.
+
+    Level s maps the canonical form (``AutomorphismTree.canonical``) of
+    each orbit of zero-sum multisets of size s to its length bitmask, packed
+    as ``packed_sweep`` packs it.  L(φB) = L(B) and φ maps atoms to atoms,
+    so the orbit of T is reached from the orbit of every S with S + A = T,
+    and one representative per orbit carries the whole orbit's lengths.
+    From a representative R only one atom per orbit of Stab(R) is pushed:
+    R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
+    budget ticks once per canonical form computed, R's own included.
+    """
+    catalog = enumerate_atoms(group)
+    support = group.nonzero_elements
+    layout = PackedLayout(group, support, limit + catalog.davenport)
+    tree = group.automorphisms  # position p is support[p]
+    # an atom is its length and its positions, each repeated by multiplicity
+    atoms = [
+        (a.length, tuple(support.index(g) for g, m in a.items for _ in range(m)))
+        for a in catalog
+        if a.length <= limit
+    ]
+    return layout, _orbit_levels(tree, atoms, layout.bits, limit)
+
+
+def _orbit_levels(tree, atoms, bits, limit):
+    """Yield each level of representatives once complete, then expand it."""
+    tick = NodeCounter().tick
+    canonical = tree.canonical
+    weight = [1 << p * bits for p in range(tree.size)]  # packs a position
+    pending: dict[int, dict[tuple, int]] = {0: {(0,) * tree.size: 1}}
+    for s in range(limit + 1):
+        cur = pending.pop(s, {})
+        yield {
+            sum(m << p * bits for p, m in enumerate(rep)): mask
+            for rep, mask in cur.items()
+        }
+        fit = [a for a in atoms if a[0] <= limit - s]
+        if not fit:
+            continue
+        for rep, mask in cur.items():
+            _, stab = canonical(rep)
+            pushes = _one_per_orbit(fit, stab, weight)
+            tick(1 + len(pushes))
+            shifted = mask << 1
+            for alen, ps in pushes:
+                child = list(rep)
+                for p in ps:
+                    child[p] += 1
+                key, _ = canonical(child)
+                tgt = pending.setdefault(s + alen, {})
+                tgt[key] = tgt.get(key, 0) | shifted
+
+
+def _one_per_orbit(atoms, stab, weight):
+    """One atom of each orbit of ``stab`` acting on ``atoms``.
+
+    An atom's key packs its positions; φ sends it to the key of φ's images.
+    """
+    if len(stab) == 1:
+        return atoms
+    at = weight.__getitem__
+    seen: set[int] = set()
+    out = []
+    for atom in atoms:
+        ps = atom[1]
+        if sum(map(at, ps)) in seen:
+            continue
+        out.append(atom)
+        for q in stab:
+            seen.add(sum(map(at, map(q.__getitem__, ps))))
+    return out
 
 
 # -- the length engine ------------------------------------------------

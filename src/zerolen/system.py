@@ -6,6 +6,22 @@ value the bitmask of factorization lengths.  Each reader consumes the sweep
 in one pass and keeps only what it needs.  Every result at this level is a
 bounded certificate: it speaks about all zero-sum sequences up to the stated
 length bound, never about the full infinite system.
+
+Over the full nonzero support of a group with at least ``ORBIT_MIN_AUT``
+automorphisms the readers take the orbit sweep instead (``_sweep``): one
+canonical state per Aut(G)-orbit, which carries the lengths of its whole
+orbit.  The witnesses of ``bounded_system`` are then orbit representatives,
+with the same lengths and minimal length as the plain sweep's, and the node
+budget counts canonical forms.  ``delta_star`` needs every support, so it
+spreads each representative's distances over the Aut-orbit of its support.
+The orbit sweep pays for its canonical forms only where the orbits are
+large.  In paired timings of both sweeps (2 cores, Python 3.11) it was
+2.5-5x slower at |Aut(G)| <= 16 (C5, C2xC4, C2xC8), 1.1-1.3x faster on
+C3xC3 (48), C4xC4 (96), C2^3 (168) and C2^2xC4 (192), and 10x faster on
+C2^4 (20,160; bound 12, 7x with the 0.16 s tree build).  The constant sits
+above 168 so that C2^3 and C3xC3, whose witnesses the CLI's pinned outputs
+print, keep the plain sweep and its witnesses; their gain is small, and
+C4xC4 stays with them.
 """
 
 from __future__ import annotations
@@ -17,9 +33,22 @@ from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
 from .families import INTERSECTION, family_branches, intersection_witness
-from .groups import Element, FiniteAbelianGroup
-from .lengths import Lengths, delta, engine_for, mask_to_lengths, packed_sweep
+from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
+from .lengths import (
+    Lengths,
+    delta,
+    engine_for,
+    mask_to_lengths,
+    orbit_sweep,
+    packed_sweep,
+)
 from .sequences import Sequence
+
+
+# The full nonzero support of a group with at least this many automorphisms
+# is swept one state per Aut(G)-orbit (``lengths.orbit_sweep``); the module
+# docstring gives the timings behind the value.
+ORBIT_MIN_AUT = 192
 
 
 def default_bound(group: FiniteAbelianGroup) -> int:
@@ -84,11 +113,33 @@ def bounded_system(
     elems = (
         group.nonzero_elements if subset is None else group.canonical_subset(subset)
     )
-    with_zero = group.zero in elems
     support = tuple(g for g in elems if g != group.zero)
-    caps = [bound] * len(support)
-    layout, levels = packed_sweep(group, support, caps, bound)
+    layout, levels, _ = _sweep(group, support, bound)
+    return _system_from(group, elems, bound, layout, levels)
 
+
+def _sweep(group: FiniteAbelianGroup, support: tuple[Element, ...], bound: int):
+    """(layout, levels, tree) of the sweep for ``support`` up to ``bound``.
+
+    The full nonzero support of a group with at least ``ORBIT_MIN_AUT``
+    automorphisms runs the orbit sweep, and ``tree`` is its automorphism
+    tree; everything else runs the plain sweep, with ``tree`` None.
+    """
+    if (
+        support == group.nonzero_elements
+        and ORBIT_MIN_AUT <= group.automorphism_count <= MAX_TREE_AUTOMORPHISMS
+    ):
+        return (*orbit_sweep(group, bound), group.automorphisms)
+    return (*packed_sweep(group, support, [bound] * len(support), bound), None)
+
+
+def _system_from(group, elems, bound, layout, levels) -> BoundedSystem:
+    """The bounded system read from one pass over the sweep's levels.
+
+    Each mask keeps its first state in level order, so its witness has the
+    least size; with 0 in ``elems`` every shift y <= bound - size is added.
+    """
+    with_zero = group.zero in elems
     best: dict[int, tuple[int, int]] = {}  # mask -> (size, state)
     for size, level in enumerate(levels):
         for state, mask in level.items():
@@ -218,10 +269,15 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
         raise ValueError("delta_star enumerates subsets; needs |G| <= 16")
     if bound is None:
         bound = default_bound(group)
-    support = group.nonzero_elements
-    caps = [bound] * len(support)
-    layout, levels = packed_sweep(group, support, caps, bound)
+    return _delta_star_from(*_sweep(group, group.nonzero_elements, bound))
 
+
+def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
+    """Delta* from one pass over a full-support sweep.
+
+    With an automorphism tree each state stands for its orbit, so its
+    distances go to every support in the orbit of its own support.
+    """
     dist_of_mask: dict[int, int] = {}
     by_key: dict[int, int] = {}  # support key -> union of its distance masks
     for level in levels:
@@ -234,10 +290,21 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
                 key = layout.support_key(state)
                 by_key[key] = by_key.get(key, 0) | d
 
-    m = len(support)
+    m = len(layout.support)
     by_support = [0] * (1 << m)
     for key, d in by_key.items():
         by_support[layout.key_indices(key)] = d
+    if tree is not None:  # spread each orbit's union over the whole orbit
+        done: set[int] = set()
+        for sub in [layout.key_indices(key) for key in by_key]:
+            if sub not in done:
+                orbit = tree.support_orbit(sub)
+                done |= orbit
+                d = 0
+                for s in orbit:
+                    d |= by_support[s]
+                for s in orbit:
+                    by_support[s] = d
     for i in range(m):
         bit = 1 << i
         for s in range(1 << m):

@@ -136,3 +136,31 @@ def naive_realizing_elements(factor_gens, L, y_range, search_bound: int):
         if frozenset(acc) in targets:
             out.append(combo)
     return out
+
+
+def naive_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
+    """Every automorphism, by trying all images of the generators.
+
+    Each candidate map x -> sum x_j h_j is checked to be well defined (the
+    order of h_j divides n_j) and bijective by listing all its values.  The
+    result uses the package's position convention: position p is the
+    nonzero element of index p + 1, and perm[p] is the position of its image.
+    """
+    elems = group.elements
+    index = {g: i for i, g in enumerate(elems)}
+    out = set()
+    for images in product(elems, repeat=group.rank):
+        if any(
+            group.scale(n, h) != group.zero
+            for n, h in zip(group.invariant_factors, images)
+        ):
+            continue
+        values = []
+        for x in elems:
+            acc = group.zero
+            for c, h in zip(x, images):
+                acc = group.add(acc, group.scale(c, h))
+            values.append(index[acc])
+        if len(set(values)) == len(elems):
+            out.add(tuple(v - 1 for v in values[1:]))
+    return out

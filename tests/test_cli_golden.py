@@ -4,7 +4,7 @@ Each row runs ``main(argv + ["--json"])``, expects exit 0 and compares the
 first 16 hex digits of the sha256 of the printed output with the value
 recorded when the row was added.  A refactor must leave every row passing; a
 deliberate output change updates its digest here and says so in CHANGES.md.
-No row sweeps C2^4 at bound 12, so the whole file runs in about two seconds.
+No row sweeps C2^4 at bound 12, so the whole file runs in a few seconds.
 """
 
 import contextlib
@@ -23,6 +23,7 @@ GOLDEN = [
     ("rho-k 3x3 2", "fcd902fdc65983b8"),
     ("rho-k 3x3 3", "e268144b276f5f17"),
     ("rho-k 2x2x2x2 3", "a8721178f90a4cca"),
+    ("rho-k 2x2x2x2 2", "132d92f02908a284"),
     ("system 3 --emit-witness", "97ec7b0694793afa"),
     ("system 3 --emit-witness --with-zero", "829f1da556330097"),
     ("system 2x2 --emit-witness", "6bdd2a3db3fc02eb"),
@@ -37,6 +38,7 @@ GOLDEN = [
     ("system 5 --emit-witness --with-zero", "5507edba448075b3"),
     ("system 2x4 --emit-witness", "38dfb944ea9cc4cd"),
     ("system 2x4 --emit-witness --with-zero", "8e37c11ac68c5a38"),
+    ("system 2x2x2x2 --max-len 10 --emit-witness", "b0f9a9b0cca6feeb"),
     ("compare 4 2x2x2", "1a03f5a4e28073db"),
     ("intersect 3 5 --max-value 30", "a78ce58d457c7a05"),
     ("family list", "a66e55a68ca9c469"),

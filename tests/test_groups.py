@@ -1,8 +1,12 @@
+import random
 from itertools import product
 
 import pytest
 
 from zerolen import davenport_lower_bound, invariant_factors, make_group, parse_group
+from zerolen.budget import ResourceLimitError
+
+from oracles import naive_automorphisms
 
 
 def test_invariant_factor_normalization():
@@ -68,3 +72,60 @@ def test_index_roundtrip():
     for i, g in enumerate(G.elements):
         assert G.index(g) == i
         assert G.element_at(i) == g
+
+
+_SMALL_GROUPS = (
+    [2], [3], [4], [5], [6], [2, 2], [2, 4], [3, 3], [2, 2, 2], [2, 6], [2, 8],
+    [4, 4], [2, 2, 4],
+)
+
+
+@pytest.mark.parametrize("factors", _SMALL_GROUPS)
+def test_automorphism_tree_holds_every_automorphism(factors):
+    G = make_group(factors)
+    naive = naive_automorphisms(G)
+    assert G.automorphism_count == len(naive)
+    # on the zero vector every branch ties, so every leaf survives
+    _, leaves = G.automorphisms.canonical([0] * (G.order - 1))
+    assert len(leaves) == len(naive) and set(leaves) == naive
+
+
+def test_automorphism_count_closed_form():
+    assert make_group([2, 2, 2, 2]).automorphism_count == 20160  # GL(4,2)
+    assert make_group([3, 3, 3]).automorphism_count == 11232  # GL(3,3)
+    assert make_group([2] * 5).automorphism_count == 9999360  # GL(5,2)
+    assert make_group([]).automorphism_count == 1
+    with pytest.raises(ResourceLimitError):
+        make_group([2] * 5).automorphisms  # too many to hold as a tree
+
+
+@pytest.mark.parametrize("factors", [[2, 4], [3, 3], [2, 2, 2], [2, 2, 4]])
+def test_canonical_form_is_the_largest_image(factors):
+    G = make_group(factors)
+    naive = naive_automorphisms(G)
+    tree = G.automorphisms
+    rng = random.Random(0)
+    for _ in range(40):
+        v = [rng.choice((0, 0, 1, 2)) for _ in range(G.order - 1)]
+        images = {q: tuple(v[i] for i in q) for q in naive}
+        best = max(images.values())
+        canon, reach = tree.canonical(v)
+        assert canon == best
+        assert set(reach) == {q for q, img in images.items() if img == best}
+        # on its own canonical form the survivors are the stabilizer
+        _, stab = tree.canonical(list(canon))
+        assert set(stab) == {q for q in naive if tuple(canon[i] for i in q) == canon}
+
+
+@pytest.mark.parametrize("factors", [[3, 3], [2, 2, 2], [2, 2, 2, 2]])
+def test_support_orbit_is_the_orbit_under_every_automorphism(factors):
+    G = make_group(factors)
+    n = G.order - 1
+    perms = naive_automorphisms(G) if G.order < 16 else None
+    if perms is None:  # all 20160 leaves of the tree instead of brute force
+        _, perms = G.automorphisms.canonical([0] * n)
+    rng = random.Random(1)
+    for _ in range(6):
+        mask = rng.randrange(1 << n)
+        orbit = {sum(1 << q[p] for p in range(n) if mask >> p & 1) for q in perms}
+        assert G.automorphisms.support_orbit(mask) == orbit

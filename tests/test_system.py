@@ -14,8 +14,13 @@ from zerolen import (
     observed_delta,
     rho_k,
 )
-from zerolen.lengths import mask_to_lengths, packed_sweep
-from zerolen.system import _rho_k_by_witness
+from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
+from zerolen.system import (
+    _delta_star_from,
+    _rho_k_by_witness,
+    _sweep,
+    _system_from,
+)
 
 from oracles import naive_lengths
 
@@ -163,6 +168,7 @@ def test_delta_star_is_min_observed_delta_over_subsets(factors, bound):
 def test_no_sweep_level_outlives_bounded_system():
     G = make_group([2, 2, 2, 2])
     enumerate_atoms(G)  # the atom catalog is a cache of its own
+    G.automorphisms  # and so is the automorphism tree of the orbit sweep
     tracemalloc.start()
     try:
         system = bounded_system(G, None, 8)
@@ -192,9 +198,58 @@ def test_intersection_single_group_is_that_system():
 def test_node_budget_cap_is_honored(monkeypatch):
     from zerolen.budget import ResourceLimitError
 
+    G = make_group([2, 2, 2, 2])
+    enumerate_atoms(G)  # the catalog and the tree are built before the cap
+    G.automorphisms
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "50")
     with pytest.raises(ResourceLimitError):
         bounded_system(make_group([2, 4]), None, 14)
+    # the orbit sweep ticks once per canonical form
+    with pytest.raises(ResourceLimitError):
+        bounded_system(G, None, 12)
+    with pytest.raises(ResourceLimitError):
+        delta_star(G, 12)
+
+
+def test_orbit_sweep_selection():
+    orbit = make_group([2, 2, 2, 2])
+    assert _sweep(orbit, orbit.nonzero_elements, 4)[2] is orbit.automorphisms
+    # a proper subset, and groups with fewer automorphisms, sweep plainly
+    assert _sweep(orbit, orbit.nonzero_elements[1:], 4)[2] is None
+    for factors in ([5], [2, 4], [3, 3], [2, 2, 2]):
+        G = make_group(factors)
+        assert _sweep(G, G.nonzero_elements, 4)[2] is None
+
+
+@pytest.mark.parametrize(
+    "factors, bound",
+    [([2, 2, 2, 2], 8), ([2, 2, 2, 2], 10), ([2, 2, 2], 16), ([3, 3], 16)],
+)
+def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
+    # the plain sweep is the orbit sweep's oracle
+    G = make_group(factors)
+    support = G.nonzero_elements
+    o_layout, o_levels = orbit_sweep(G, bound)
+    o_levels = list(o_levels)
+    p_layout, p_levels = _bounded_sweep(G, bound)
+    p_levels = list(p_levels)
+    orbit = _system_from(G, support, bound, o_layout, o_levels)
+    plain = _system_from(G, support, bound, p_layout, p_levels)
+    assert orbit.length_sets() == plain.length_sets()
+    assert [e.min_length for e in orbit.entries] == [
+        e.min_length for e in plain.entries
+    ]
+    eng = engine_for(G)
+    for entry in orbit.entries:
+        assert entry.witness.length == entry.min_length
+        assert eng.length_set(entry.witness) == entry.lengths
+    assert _delta_star_from(o_layout, o_levels, G.automorphisms) == _delta_star_from(
+        p_layout, p_levels, None
+    )
+    # one state per orbit: far fewer states, the same distinct masks per level
+    assert sum(map(len, o_levels)) < sum(map(len, p_levels))
+    for o_level, p_level in zip(o_levels, p_levels):
+        assert set(o_level.values()) == set(p_level.values())
 
 
 def test_compare_certifies_absence_only_when_bound_allows():
