@@ -33,9 +33,9 @@ from .system import (
     bounded_intersection,
     bounded_system,
     compare_systems,
-    default_bound,
     delta_star,
     observed_delta,
+    resolve_bound,
     rho_k,
 )
 from .verify import TARGETS, run_verification
@@ -61,7 +61,10 @@ def cmd_atoms(args) -> int:
     group = parse_group(args.group)
     subset = None
     if args.subset:
-        subset = [parse_sequence(group, t).support[0] for t in args.subset.split(";")]
+        supports = [parse_sequence(group, t).support for t in args.subset.split(";")]
+        if any(len(s) != 1 for s in supports):
+            raise UsageError("each --subset term must name exactly one element")
+        subset = [s[0] for s in supports]
     catalog = enumerate_atoms(group, subset)
     payload = {
         "group": group.label,
@@ -121,7 +124,7 @@ def cmd_system(args) -> int:
 
 def cmd_delta_star(args) -> int:
     group = parse_group(args.group)
-    bound = default_bound(group) if args.max_len is None else args.max_len
+    bound = resolve_bound(group, args.max_len)
     _emit(
         {
             "group": group.label,
@@ -173,7 +176,7 @@ def cmd_intersect(args) -> int:
     rep = bounded_intersection(groups, max_value=args.max_value)
     _emit(
         {
-            "groups": [g.label for g in sorted(groups, key=lambda g: g.order)],
+            "groups": [g.label for g in rep.groups],
             "max": rep.max_value,
             "sets": [list(L) for L in rep.sets],
             "unconfirmed": [f"{list(L)} in {g}" for L, g in rep.unconfirmed],
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("intersect", help="bounded intersection of systems")
     s.add_argument("groups", nargs="+")
-    s.add_argument("--max-value", type=int, default=9)
+    s.add_argument("--max-value", type=int)
     s.set_defaults(fn=cmd_intersect)
 
     s = add("family", help="closed-form families")

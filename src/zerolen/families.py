@@ -9,7 +9,8 @@ ends says so with ``k_max`` (0 for the constant branches such as ``{y}`` and
 applies the shift (member + y, B_k times 0^y) and the domain end, and walks k
 (``bases``), so the tables can be listed, matched against and swept
 generically.  The registry is the only statement of the catalog: the covered
-groups, the verify targets' branches and the T36 intersection are read off it.
+groups, the verify targets (groups and branches) and the T36 intersection are
+read off it.
 
 Family ids follow the scheme ``<catalog>-L<i>`` with a branch tag where a
 single list item splits into cases (interval residues, parity and the like).
@@ -87,6 +88,11 @@ class FamilyBranch:
     @property
     def id(self) -> str:
         return self.family if self.branch == "" else f"{self.family}:{self.branch}"
+
+    @property
+    def catalog(self) -> str:
+        """The catalog (verify target) of the family: its name up to the first '-'."""
+        return self.family.partition("-")[0]
 
     def try_member(self, y: int, k: int) -> Member:
         if y < 0 or k < 0 or (y and not self.shifts):

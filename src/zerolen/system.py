@@ -5,7 +5,10 @@ multiplicity capped at the length bound: a state is a zero-sum multiset, its
 value the bitmask of factorization lengths.  Each reader consumes the sweep
 in one pass and keeps only what it needs.  Every result at this level is a
 bounded certificate: it speaks about all zero-sum sequences up to the stated
-length bound, never about the full infinite system.
+length bound, never about the full infinite system.  Each bound is stated
+once, here: ``default_bound`` is the one table of certificate bounds (which
+``verify``'s catalog targets sweep at), ``resolve_bound`` applies it and
+rejects a negative bound, and ``size_bound`` is the rule |B| <= k*D(G).
 
 Over the full nonzero support of a group with at least ``ORBIT_MIN_AUT``
 automorphisms the readers take the orbit sweep instead (``_sweep``): one
@@ -52,7 +55,7 @@ ORBIT_MIN_AUT = 192
 
 
 def default_bound(group: FiniteAbelianGroup) -> int:
-    """Default enumeration bound per group order (tunable by every caller)."""
+    """The length bound, per group order, of every sweep that names none."""
     if group.order <= 5:
         return 20
     if group.order <= 9:
@@ -60,6 +63,23 @@ def default_bound(group: FiniteAbelianGroup) -> int:
     if group.order <= 16:
         return 12
     return 10
+
+
+def check_bound(bound: int) -> int:
+    """``bound``; a negative one is a ValueError, as every bound counts terms."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    return bound
+
+
+def resolve_bound(group: FiniteAbelianGroup, bound: int | None) -> int:
+    """``default_bound(group)`` for None, else ``check_bound(bound)``."""
+    return default_bound(group) if bound is None else check_bound(bound)
+
+
+def size_bound(group: FiniteAbelianGroup, k: int) -> int:
+    """k * D(G): k in L(B) makes B a product of k atoms, each of <= D(G) terms."""
+    return k * enumerate_atoms(group).davenport
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +126,7 @@ def bounded_system(
     the zero element is handled by the shift rule L(0^y B) = y + L(B) rather
     than enumerated.
     """
-    if bound is None:
-        bound = default_bound(group)
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
+    bound = resolve_bound(group, bound)
     elems = (
         group.nonzero_elements if subset is None else group.canonical_subset(subset)
     )
@@ -208,8 +225,8 @@ def _best_shift(k: int, candidates: Iterable[tuple[Iterable[int], object]]):
 def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     """Largest max L over bounded length sets containing k, as a certificate.
 
-    When the complete sweep up to k*D(G) is affordable the value is exact by
-    exhaustion.  Otherwise it comes from the witness route
+    When the complete sweep up to ``size_bound(group, k)`` is affordable the
+    value is exact by exhaustion.  Otherwise it comes from the witness route
     (``_rho_k_by_witness``).  Both routes take the best shift of each
     candidate set with one scan (``_best_shift``).
     """
@@ -217,7 +234,7 @@ def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
         raise ValueError("rho_k needs k >= 2")
     if group.order < 3:
         return RhoKCertificate(k, k, True, "sweep", 0, None, None)
-    need = k * enumerate_atoms(group).davenport
+    need = size_bound(group, k)
     m = len(group.nonzero_elements)
     if math.comb(need + m, m) // group.order > 600_000:
         return _rho_k_by_witness(group, k)
@@ -235,7 +252,7 @@ def _rho_k_by_witness(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     floor(k*D/2): every factorization of a product of k atoms has between
     |B|/D and |B|/2 factors.  The sweep route is this route's oracle.
     """
-    D = enumerate_atoms(group).davenport
+    cap = size_bound(group, k)
     value, source, shift = _best_shift(
         k,
         ((base, (br, kk)) for br in family_branches(group) for kk, base in br.bases(k)),
@@ -250,7 +267,7 @@ def _rho_k_by_witness(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
                 f"witness for rho_{k} over {group} realized {wl}, "
                 f"expected max {value} containing {k}"
             )
-    return RhoKCertificate(k, value, value == (k * D) // 2, "witness", k * D, wit, wl)
+    return RhoKCertificate(k, value, value == cap // 2, "witness", cap, wit, wl)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +284,7 @@ def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int
     """
     if group.order > 16:
         raise ValueError("delta_star enumerates subsets; needs |G| <= 16")
-    if bound is None:
-        bound = default_bound(group)
+    bound = resolve_bound(group, bound)
     return _delta_star_from(*_sweep(group, group.nonzero_elements, bound))
 
 
@@ -341,15 +357,13 @@ class ComparisonReport:
         return bool(self.a_in_b.holds) and bool(self.b_in_a.holds)
 
 
-def _one_sided(
-    src: BoundedSystem, dst: BoundedSystem, margin: int, dst_davenport: int
-) -> InclusionVerdict:
+def _one_sided(src: BoundedSystem, dst: BoundedSystem, margin: int) -> InclusionVerdict:
     certified, uncertified = [], []
     for lengths in src.length_sets():
         if lengths[-1] > margin or lengths in dst.sets:
             continue
         # absence is certified when every realization would fit the dst bound
-        if dst.bound >= dst_davenport * lengths[0]:
+        if dst.bound >= size_bound(dst.group, lengths[0]):
             certified.append(lengths)
         else:
             uncertified.append(lengths)
@@ -366,52 +380,47 @@ def _one_sided(
 def compare_systems(a: BoundedSystem, b: BoundedSystem) -> ComparisonReport:
     """Bounded inclusion verdicts both ways, restricted to a safe margin."""
     margin = min(a.bound, b.bound) // 2
-    da = enumerate_atoms(a.group).davenport
-    db = enumerate_atoms(b.group).davenport
-    return ComparisonReport(
-        margin,
-        _one_sided(a, b, margin, db),
-        _one_sided(b, a, margin, da),
-    )
+    return ComparisonReport(margin, _one_sided(a, b, margin), _one_sided(b, a, margin))
 
 
 @dataclass(frozen=True)
 class IntersectionReport:
     sets: tuple[Lengths, ...]
-    base_group: FiniteAbelianGroup
+    groups: tuple[FiniteAbelianGroup, ...]  # deduplicated, the base first
     max_value: int
     witness_bounds: dict[tuple[int, ...], int]
     unconfirmed: tuple[tuple[Lengths, tuple[int, ...]], ...]
 
 
 def bounded_intersection(
-    groups: Iterable[FiniteAbelianGroup], max_value: int = 9
+    groups: Iterable[FiniteAbelianGroup], max_value: int | None = None
 ) -> IntersectionReport:
     """Sets of lengths present in every group's system, certified by witnesses.
 
-    Candidates come from an exhaustive bounded system of the smallest group
+    The groups are deduplicated and sorted by (order, invariant factors).
+    Candidates come from an exhaustive bounded system of the first, the base
     (whose closed form makes it the minimal system), so nothing outside it can
-    lie in the intersection.  Every atom has length at most D(G), so a
-    sequence B with max L(B) <= max_value has |B| <= D(G) * max_value: the
-    base system is swept to that bound, and every set up to max_value is a
-    candidate (over the node budget the sweep raises ``ResourceLimitError``).
+    lie in the intersection.  A sequence B with max L(B) <= max_value (9 when
+    None) has |B| <= ``size_bound(base, max_value)``: the base system is swept
+    to that bound, and every set up to max_value is a candidate (over the node
+    budget the sweep raises ``ResourceLimitError``).
     A candidate must match the T36-INTERSECT branch y + 2k + [0,k]; its
     membership in each group is certified by the engine-verified
     ``intersection_witness(g, y, k)``, and the reported per-group bound is the
     longest witness used.
     """
-    gs = sorted(set(groups), key=lambda g: (g.order, g.invariant_factors))
+    gs = tuple(sorted(set(groups), key=lambda g: (g.order, g.invariant_factors)))
     if not gs:
         raise ValueError("need at least one group")
     if any(g.order < 3 for g in gs):
         raise ValueError("the intersection statement needs |G| >= 3")
     base = gs[0]
-    base_bound = enumerate_atoms(base).davenport * max_value
-    base_sys = bounded_system(base, base.elements, base_bound)
+    max_value = 9 if max_value is None else max_value
+    base_sys = bounded_system(base, base.elements, size_bound(base, max_value))
     candidates = [L for L in base_sys.length_sets() if L[-1] <= max_value]
     if len(gs) == 1:
         return IntersectionReport(
-            tuple(candidates), base, max_value,
+            tuple(candidates), gs, max_value,
             {base.invariant_factors: base_sys.bound}, (),
         )
 
@@ -433,5 +442,5 @@ def bounded_intersection(
         else:
             confirmed.append(L)
     return IntersectionReport(
-        tuple(confirmed), base, max_value, wit_bounds, tuple(unconfirmed)
+        tuple(confirmed), gs, max_value, wit_bounds, tuple(unconfirmed)
     )

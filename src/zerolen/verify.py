@@ -1,34 +1,31 @@
 """End-to-end verification runs: soundness and completeness per catalog.
 
-A soundness run enumerates every bounded zero-sum sequence over the nonzero
-elements and demands each distinct length set match a registered family; a
-completeness run sweeps family parameters and demands each witness sequence
-realize its member exactly.  Reports are deterministic given the bounds.
+A catalog target is a registry catalog (``FamilyBranch.catalog``) and checks
+the groups and branches of its families.  A soundness run enumerates every
+zero-sum sequence over a group's nonzero elements up to the bound, by default
+``system.default_bound``, and demands each distinct length set match a
+registered family; a completeness run sweeps family parameters and demands
+each witness sequence realize its member exactly.  Reports name the bounds
+the library ran at and are deterministic given them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
-from .atoms import enumerate_atoms
 from .budget import global_nodes
 from .families import (
     _EQUIVALENCES,
     COVERED_GROUPS,
     G2_4,
-    G22,
-    G23,
-    G24,
     G3,
-    G33,
-    G4,
     G5,
     INTERSECTION,
+    REGISTRY,
     FamilyBranch,
     c24_interval_witness,
-    family_branches,
     intersection_witness,
     interval_criterion_c24,
     match_family,
@@ -36,19 +33,10 @@ from .families import (
 )
 from .groups import FiniteAbelianGroup
 from .lengths import engine_for
-from .system import bounded_intersection, bounded_system
+from .system import bounded_intersection, bounded_system, check_bound, size_bound
 
-TARGETS = ("P33", "T41", "T46", "T47", "T48", "T36", "C24INT")
-
-# per-target (group, soundness bound) pairs; a target checks the registry
-# branches of its groups
-_SOUNDNESS: dict[str, tuple[tuple[FiniteAbelianGroup, int], ...]] = {
-    "P33": ((G3, 18), (G22, 18), (G4, 16), (G23, 16)),
-    "T41": ((G33, 16),),
-    "T46": ((G5, 20),),
-    "T47": ((G24, 16),),
-    "T48": ((G2_4, 12),),
-}
+_CATALOG_TARGETS = tuple(dict.fromkeys(br.catalog for br in REGISTRY if br.group))
+TARGETS = (*_CATALOG_TARGETS, "T36", "C24INT")
 
 
 @dataclass(frozen=True)
@@ -75,15 +63,7 @@ class VerificationReport:
             "status": self.status,
             "bounds": dict(sorted(self.bounds.items())),
             "checks": list(self.checks),
-            "counterexamples": [
-                {
-                    "kind": c.kind,
-                    "group": c.group,
-                    "detail": c.detail,
-                    "witness": c.witness,
-                }
-                for c in self.counterexamples
-            ],
+            "counterexamples": [asdict(c) for c in self.counterexamples],
         }
         if with_time:
             out["seconds"] = round(self.seconds, 3)
@@ -92,9 +72,10 @@ class VerificationReport:
 
 
 def soundness_check(
-    group: FiniteAbelianGroup, bound: int, report: VerificationReport
+    group: FiniteAbelianGroup, bound: Optional[int], report: VerificationReport
 ) -> None:
     system = bounded_system(group, None, bound)
+    report.bounds[group.label] = system.bound
     unmatched = 0
     for entry in system.entries:
         if not match_family(group, entry.lengths):
@@ -108,7 +89,7 @@ def soundness_check(
                 )
             )
     report.checks.append(
-        f"soundness {group.label} bound {bound}: {len(system)} distinct sets, "
+        f"soundness {group.label} bound {system.bound}: {len(system)} distinct sets, "
         f"{unmatched} unmatched"
     )
 
@@ -158,16 +139,13 @@ def completeness_check(
 
 def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
     report = VerificationReport(target, "pass", {})
-    for group, default in _SOUNDNESS[target]:
-        b = bound if bound is not None else default
-        report.bounds[group.label] = b
-        soundness_check(group, b, report)
-    groups = [group for group, _ in _SOUNDNESS[target]]
-    branches = tuple(br for br in family_branches() if br.group in groups)
+    branches = tuple(br for br in REGISTRY if br.catalog == target)
+    for group in dict.fromkeys(br.group for br in branches):
+        soundness_check(group, bound, report)
     completeness_check(branches, report)
     families = {br.family for br in branches}
     for pair in (p for p, (fam, _, _) in _EQUIVALENCES.items() if fam in families):
-        eq = presentation_equivalence(pair, bound=30)
+        eq = presentation_equivalence(pair)
         report.checks.append(
             f"presentation equivalence {eq.pair} bound {eq.bound}: "
             f"{'equal' if eq.equal else 'DIFFER'}"
@@ -185,8 +163,7 @@ def _verify_catalog(target: str, bound: Optional[int]) -> VerificationReport:
 
 
 def _verify_t36(bound: Optional[int]) -> VerificationReport:
-    hi = 9 if bound is None else bound
-    report = VerificationReport("T36", "pass", {"max": hi})
+    report = VerificationReport("T36", "pass", {})
     jobs = (
         (g, f"p={p} k={k}", intersection_witness(g, 0, k), INTERSECTION.member(0, k))
         for p, g in ((3, G3), (5, G5))
@@ -195,8 +172,9 @@ def _verify_t36(bound: Optional[int]) -> VerificationReport:
     _check_witnesses(report, "construction-mismatch", jobs)
     report.checks.append("base constructions p in {3,5}, k <= 5 verified")
 
-    inter = bounded_intersection(COVERED_GROUPS, max_value=hi)
-    want = {tuple(sorted(m)) for m in INTERSECTION.members_up_to(hi)}
+    inter = bounded_intersection(COVERED_GROUPS, max_value=bound)
+    report.bounds["max"] = inter.max_value
+    want = {tuple(sorted(m)) for m in INTERSECTION.members_up_to(inter.max_value)}
     got = set(inter.sets)
     for L in sorted(want - got):
         report.counterexamples.append(
@@ -229,22 +207,22 @@ def _verify_c24int(bound: Optional[int]) -> VerificationReport:
     realized = _check_witnesses(report, "interval-witness-mismatch", jobs)
     report.checks.append(f"realized {realized} admissible intervals up to {hi}")
 
-    # 2 in L(B) makes B a product of two atoms, so |B| <= 2 * D(G)
-    need = 2 * enumerate_atoms(G2_4).davenport
-    system = bounded_system(G2_4, None, need)
+    system = bounded_system(G2_4, None, size_bound(G2_4, 2))
     if (2, 3, 4, 5) in system.sets:
         report.counterexamples.append(
             Counterexample("forbidden-interval", G2_4.label, "[2,5] realized")
         )
-    report.checks.append(f"[2,5] absent from the bounded system (bound {need})")
+    report.checks.append(f"[2,5] absent from the bounded system (bound {system.bound})")
     return report
 
 
 def run_verification(target: str, bound: Optional[int] = None) -> VerificationReport:
     """Run one verification target; status reflects the counterexample list."""
+    if bound is not None:
+        check_bound(bound)
     start = time.perf_counter()
     nodes_before = global_nodes()
-    if target in _SOUNDNESS:
+    if target in _CATALOG_TARGETS:
         report = _verify_catalog(target, bound)
     elif target == "T36":
         report = _verify_t36(bound)

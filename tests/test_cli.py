@@ -3,6 +3,7 @@ import json
 import pytest
 
 from zerolen.cli import main
+from zerolen.verify import TARGETS
 
 
 def run(capsys, *argv):
@@ -27,6 +28,19 @@ def test_atoms_counts(capsys):
     assert code == 0
     assert payload["counts"] == {"2": 5, "3": 9, "4": 16, "5": 8}
     assert payload["davenport"] == 5
+
+
+def test_atoms_subset(capsys):
+    code, payload = run_json(capsys, "atoms", "2x4", "--subset", "(1,0)^2;(0,1)")
+    assert code == 0 and payload["counts"] == {"2": 1, "4": 1}
+
+
+@pytest.mark.parametrize("subset", ["(1,0)*(0,1)", ";", "()", "(1,0);"])
+def test_atoms_subset_terms_name_one_element(capsys, subset):
+    assert main(["atoms", "2x4", "--subset", subset]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_family_match_and_member(capsys):
@@ -64,6 +78,22 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["system", "3", "--max-len", "-1"],
+        ["delta-star", "3", "--max-len", "-1"],
+        ["compare", "3", "4", "--max-len", "-1"],
+        *(["verify", t, "--bound", "-1"] for t in TARGETS),
+    ],
+    ids=" ".join,
+)
+def test_negative_bound_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_json_determinism(capsys):
     _, first = run(capsys, "system", "3", "--max-len", "8", "--json")
     _, second = run(capsys, "system", "3", "--max-len", "8", "--json")
@@ -98,6 +128,15 @@ def test_family_usage_errors(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["family", "witness"]) == 2
+
+
+@pytest.mark.parametrize(
+    "groups, swept",
+    [(["3", "3"], ["C3"]), (["4", "2x2"], ["C2xC2", "C4"])],
+)
+def test_intersection_prints_the_groups_it_swept(capsys, groups, swept):
+    code, payload = run_json(capsys, "intersect", *groups)
+    assert code == 0 and payload["groups"] == swept
 
 
 def test_intersection_over_a_large_odd_prime(capsys):

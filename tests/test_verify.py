@@ -1,15 +1,16 @@
 """Golden verification reports.
 
-The catalog targets take their branches, family names and presentation pairs
-from the family registry, and T36 takes its expected sets from the
-T36-INTERSECT branch; these pinned reports show that nothing read off the
-registry changed what a target checks.
+The catalog targets take their groups, branches, family names and
+presentation pairs from the family registry and their soundness bounds from
+``default_bound``, and T36 takes its expected sets from the T36-INTERSECT
+branch; these pinned reports show that nothing read off the registry changed
+what a target checks.
 """
 
 import pytest
 
 from zerolen import Sequence, make_group, run_verification
-from zerolen.verify import VerificationReport, _check_witnesses
+from zerolen.verify import TARGETS, VerificationReport, _check_witnesses
 
 
 def _report(target, bounds, checks):
@@ -25,11 +26,11 @@ def _report(target, bounds, checks):
 GOLDEN = {
     "P33": _report(
         "P33",
-        {"C2xC2": 18, "C2xC2xC2": 16, "C3": 18, "C4": 16},
+        {"C2xC2": 20, "C2xC2xC2": 16, "C3": 20, "C4": 20},
         [
-            "soundness C3 bound 18: 16 distinct sets, 0 unmatched",
-            "soundness C2xC2 bound 18: 22 distinct sets, 0 unmatched",
-            "soundness C4 bound 16: 26 distinct sets, 0 unmatched",
+            "soundness C3 bound 20: 20 distinct sets, 0 unmatched",
+            "soundness C2xC2 bound 20: 26 distinct sets, 0 unmatched",
+            "soundness C4 bound 20: 39 distinct sets, 0 unmatched",
             "soundness C2xC2xC2 bound 16: 29 distinct sets, 0 unmatched",
             "completeness P33-C3C22/P33-C4/P33-C23: 145 witnesses, 0 mismatches",
         ],
@@ -60,6 +61,15 @@ GOLDEN = {
             "presentation equivalence T47-L2 bound 30: equal",
         ],
     ),
+    "T48": _report(
+        "T48",
+        {"C2xC2xC2xC2": 12},
+        [
+            "soundness C2xC2xC2xC2 bound 12: 21 distinct sets, 0 unmatched",
+            "completeness T48: 220 witnesses, 0 mismatches",
+            "presentation equivalence T48-L3 bound 30: equal",
+        ],
+    ),
     "T36": _report(
         "T36",
         {"max": 9},
@@ -68,12 +78,25 @@ GOLDEN = {
             "intersection over 8 groups: 22 sets, expected 22",
         ],
     ),
+    "C24INT": _report(
+        "C24INT",
+        {"max": 10},
+        [
+            "realized 36 admissible intervals up to 10",
+            "[2,5] absent from the bounded system (bound 10)",
+        ],
+    ),
 }
 
 
 @pytest.mark.parametrize("target", sorted(GOLDEN))
 def test_report_matches_golden(target):
     assert run_verification(target).as_dict() == GOLDEN[target]
+
+
+def test_targets_come_in_order_and_are_all_pinned():
+    assert TARGETS == ("P33", "T41", "T46", "T47", "T48", "T36", "C24INT")
+    assert set(TARGETS) == set(GOLDEN)
 
 
 def test_explicit_bound_zero_is_honoured():
