@@ -242,8 +242,6 @@ def cmd_verify(args) -> int:
 
 def cmd_nm(args) -> int:
     if args.action == "lengths":
-        if args.a is None:
-            raise UsageError("nm lengths needs an element: nm lengths <gens> <a>")
         H = _gens(args.gens)
         L = H.length_set(args.a)
         _emit(
@@ -275,6 +273,7 @@ def cmd_nm(args) -> int:
         _emit(
             {
                 "monoid": repr(H),
+                "bound": rep.bound,
                 "beta": str(rep.gap.beta),
                 "checked": rep.checked,
                 "counterexamples": list(rep.counterexamples),
@@ -290,6 +289,7 @@ def cmd_nm(args) -> int:
             {
                 "monoid": repr(H),
                 "case": rep.case,
+                "bound": rep.bound,
                 "status": rep.status,
                 "hypothesis_failures": list(rep.hypothesis_failures),
                 "missing": [list(L) for L in rep.missing],
@@ -302,13 +302,14 @@ def cmd_nm(args) -> int:
     factors = [_gens(part) for part in args.gens.split(";") if part]
     D = ProductMonoid(factors)
     L = [int(t) for t in args.L.split(",") if t]
-    rep = y_L_bound(D, L, search_bound=args.bound)
+    rep = y_L_bound(D, L, args.bound)
     _emit(
         {
             "factors": [repr(H) for H in factors],
             "L": sorted(set(L)),
             "y_L": rep.y_l,
             "window": list(rep.window),
+            "search_bound": rep.search_bound,
             "violations": [list(v) for v in rep.violations],
             "status": "pass" if rep.ok else "fail",
         },
@@ -385,16 +386,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--bound", type=int)
     s.set_defaults(fn=cmd_verify)
 
-    s = add("nm", help="numerical monoid computations")
-    s.add_argument("action",
-                   choices=("lengths", "invariants", "verify-gap",
-                            "verify-57", "verify-56"))
-    s.add_argument("gens")
-    s.add_argument("a", type=int, nargs="?")
-    s.add_argument("--bound", type=int, default=200)
-    s.add_argument("--case", choices=("b2", "b3"), default="b2")
-    s.add_argument("--L", default="2,3")
+    s = sub.add_parser("nm", help="numerical monoid computations")
     s.set_defaults(fn=cmd_nm)
+    nm = s.add_subparsers(dest="action", required=True)
+
+    def add_nm(action, help, bound=False):
+        s = nm.add_parser(action, parents=[common], help=help)
+        s.add_argument("gens")
+        if bound:  # only the three checks read a bound
+            s.add_argument("--bound", type=int, default=200)
+        return s
+
+    add_nm("lengths", "length set of an element").add_argument("a", type=int)
+    add_nm("invariants", "elasticity, min distance and Frobenius number")
+    add_nm("verify-gap", "elasticity gap up to the bound", bound=True)
+    s = add_nm("verify-57", "F(P)xD1 against the C3 or C3+C3 family", bound=True)
+    s.add_argument("--case", choices=("b2", "b3"), default="b2")
+    s = add_nm("verify-56", "y_L shift bound of L in a product", bound=True)
+    s.add_argument("--L", default="2,3")
 
     return p
 

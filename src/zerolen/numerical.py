@@ -10,10 +10,13 @@ budget charge, and then reads only what it needs from the masks:
 
 * the elasticity gap needs min L(a) and max L(a) only, which are the lowest
   and the highest set bit of the mask, so no length set is ever listed;
-* in a product, L(a1, ..., an) is the sumset L(a1) + ... + L(an), so it is
-  fixed by the shapes L(ai) - min L(ai) together with the sum of the minima;
-  ``y_L_bound`` searches combinations of shapes and expands to elements only
-  for a combination whose sumset has the target's shape.
+* the other checks group the members by length-set shape, read by
+  ``NumericalMonoid._shapes``: the shape of a is L(a) - min L(a) as a
+  bitmask, kept with min L(a).  L of a product is the sumset of its
+  factors' L, fixed by their shapes and the sum of their minima, so
+  ``y_L_bound`` searches combinations of shapes; a shift y + L(a) keeps the
+  shape and its distances, so ``verify_thm57_case`` compares (shape, min)
+  pairs.
 
 Everything is exact integer and rational arithmetic.
 """
@@ -39,10 +42,7 @@ class NumericalMonoid:
         gens = tuple(sorted(set(generators)))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
-        d = 0
-        for g in gens:
-            d = math.gcd(d, g)
-        self.scale = d
+        self.scale = d = math.gcd(*gens)
         self.generators = gens
         self._core = tuple(g // d for g in gens)
         self._table: list[int] = [1]  # packed length masks, core units
@@ -74,11 +74,7 @@ class NumericalMonoid:
         n1, nt = self._core[0], self._core[-1]
         limit = (n1 - 1) * (nt - 1)  # Schur bound
         self._grow(limit)
-        worst = -1
-        for v in range(limit + 1):
-            if self._table[v] == 0:
-                worst = v
-        return worst
+        return max((v for v in range(limit + 1) if not self._table[v]), default=-1)
 
     def _grow(self, upto: int) -> None:
         """Extend the table to upto, one budget node per value, charged first."""
@@ -93,7 +89,6 @@ class NumericalMonoid:
                 if g <= v:
                     mask |= t[v - g]
             t.append(mask << 1 if mask else 0)
-        # note: t[v] bits give factorization lengths; empty mask = not a member
 
     def _mask(self, a: int) -> int:
         """Bit k set iff k is a length of a; 0 when a is not a member."""
@@ -116,6 +111,17 @@ class NumericalMonoid:
             if t[v]:
                 yield v * self.scale, t[v]
 
+    def _shapes(self, bound: int) -> dict[int, list[tuple[int, int]]]:
+        """{shape: [(a, min L(a)), ...]} for every member a <= bound, ascending.
+
+        The shape of a is the mask of L(a) - min L(a), so bit 0 is always set.
+        """
+        shapes: dict[int, list[tuple[int, int]]] = {}
+        for a, mask in self._member_masks(bound):
+            lo = (mask & -mask).bit_length() - 1
+            shapes.setdefault(mask >> lo, []).append((a, lo))
+        return shapes
+
     def contains(self, a: int) -> bool:
         return self._mask(a) != 0
 
@@ -133,12 +139,7 @@ class NumericalMonoid:
     def min_delta(self) -> int:
         """gcd of the successive generator differences; 0 when t = 1."""
         gens = self.generators
-        if len(gens) == 1:
-            return 0
-        d = 0
-        for a, b in zip(gens, gens[1:]):
-            d = math.gcd(d, b - a)
-        return d
+        return math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
 
     def is_half_factorial(self) -> bool:
         return self._core == (1,)
@@ -224,30 +225,24 @@ class GapReport:
         return not self.counterexamples
 
 
-def _length_extremes(H: NumericalMonoid, bound: int) -> Iterator[tuple[int, int, int]]:
-    """(a, min L(a), max L(a)) for every nonzero member a <= bound.
-
-    Bit k of a's table mask is set iff k is a length of a, so min L is the
-    index of the lowest set bit and max L that of the highest.
-    """
-    for a, mask in H._member_masks(bound):
-        if a:
-            yield a, (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-
-
 def verify_elasticity_gap(H: NumericalMonoid, bound: int) -> GapReport:
     """Check rho(L(a)) in {1} u [beta, inf) for every member a <= bound.
 
     rho(L(a)) = max L(a) / min L(a) reads only the two extreme bits of a's
-    table mask, and the comparison with beta is made in integers, so the
-    check costs one table growth plus constant work per member.
+    table mask (min L is the lowest set bit, max L the highest), and the
+    comparison with beta is made in integers, so the check costs one table
+    growth plus constant work per member.
     """
     gap = beta_gap(H)
     num, den = gap.beta.numerator, gap.beta.denominator
     bad = []
     checked = 0
-    for a, lo, hi in _length_extremes(H, bound):
+    for a, mask in H._member_masks(bound):
+        if not a:
+            continue
         checked += 1
+        lo = (mask & -mask).bit_length() - 1
+        hi = mask.bit_length() - 1
         if hi != lo and hi * den < num * lo:
             bad.append(a)
     return GapReport(gap, bound, checked, tuple(bad))
@@ -299,6 +294,12 @@ class YLReport:
         return not self.violations
 
 
+def _shape_of(lengths: Iterable[int]) -> tuple[int, int]:
+    """(mask of L - min L, min L) of a nonempty set L of lengths."""
+    L = sorted(set(lengths))
+    return sum(1 << (v - L[0]) for v in L), L[0]
+
+
 def _sumset(masks: Iterable[int]) -> int:
     """Bitmask of the sumset of the sets given as bitmasks."""
     acc = 1
@@ -311,32 +312,20 @@ def _sumset(masks: Iterable[int]) -> int:
 
 
 def _realizing_elements(
-    factors: Seq[NumericalMonoid],
-    Lset: Lengths,
-    y_lo: int,
-    y_hi: int,
-    search_bound: int,
+    factors: Seq[NumericalMonoid], Lset: Lengths, y_lo: int, y_hi: int, bound: int
 ) -> list[tuple[int, ...]]:
-    """Every (a1, ..., an) with components <= search_bound whose length set
+    """Every (a1, ..., an) with components <= bound whose length set
     L(a1) + ... + L(an) equals y + Lset for some y in [y_lo, y_hi], in
     lexicographic order.
 
     The sumset is the sumset of the shapes L(ai) - min L(ai), shifted by the
-    sum of the minima.  So the members of each factor are grouped by shape,
-    each combination of shapes costs one budget node, and only a combination
-    whose sumset equals Lset - min Lset is expanded to its elements, one node
-    each, keeping those whose sum of minima lies in min Lset + [y_lo, y_hi].
+    sum of the minima.  So each combination of the factors' shapes costs one
+    budget node, and only a combination whose sumset equals Lset - min Lset is
+    expanded to its elements, one node each, keeping those whose sum of
+    minima lies in min Lset + [y_lo, y_hi].
     """
-    target = 0
-    for v in Lset:
-        target |= 1 << (v - Lset[0])
-    by_shape: list[dict[int, list[tuple[int, int]]]] = []
-    for H in factors:
-        shapes: dict[int, list[tuple[int, int]]] = {}
-        for a, mask in H._member_masks(search_bound):
-            lo = (mask & -mask).bit_length() - 1
-            shapes.setdefault(mask >> lo, []).append((a, lo))
-        by_shape.append(shapes)
+    target, _ = _shape_of(Lset)
+    by_shape = [H._shapes(bound) for H in factors]
     found = []
     tick = NodeCounter().tick
     for combo in iter_product(*(shapes.items() for shapes in by_shape)):
@@ -352,10 +341,7 @@ def _realizing_elements(
 
 
 def y_L_bound(
-    D: ProductMonoid,
-    L: Iterable[int],
-    search_bound: int = 120,
-    window: int = 10,
+    D: ProductMonoid, L: Iterable[int], search_bound: int, window: int = 10
 ) -> YLReport:
     """Shift bound past which y + L is never a length set of the product.
 
@@ -378,9 +364,7 @@ def y_L_bound(
     y_l = len(Lset) * sum(
         H.strongly_primary_bound(H.smallest_nonunique()) for H in D.factors
     )
-    violations = _realizing_elements(
-        D.factors, Lset, y_l, y_l + window, search_bound
-    )
+    violations = _realizing_elements(D.factors, Lset, y_l, y_l + window, search_bound)
     return YLReport(y_l, (y_l, y_l + window), search_bound, tuple(violations))
 
 
@@ -399,11 +383,14 @@ class Thm57Report:
     bound: int
 
 
-def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int = 20) -> Thm57Report:
+def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int) -> Thm57Report:
     """Check that {y + L(a)} restricted to max <= bound equals the matching
     group family: the 3/2-elasticity case against y + 2k + [0,k], the
     5/2 case against the C3+C3 interval family.
 
+    Both systems are compared as (shape, min) pairs: a shape whose highest
+    bit is t and whose members' least min L is m stands for the sets with
+    that shape and min in [m, bound - t], all with the shape's distances.
     Hypothesis failures are reported, not raised.
     """
     if case not in ("b2", "b3"):
@@ -417,27 +404,26 @@ def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int = 20) -> Thm57R
         hyp.append(f"min distance {D1.min_delta()} != 1")
 
     observed: set[int] = set()
-    realized: set[Lengths] = set()
+    realized: set[tuple[int, int]] = set()
     # every length of a is at least a / nt, so nothing above nt * bound can
     # contribute a set with max <= bound
-    a_cap = D1.generators[-1] * bound
-    for _, mask in D1._member_masks(a_cap):
-        L = mask_to_lengths(mask)
-        observed.update(length_delta(L))
-        for y in range(0, bound - L[-1] + 1):
-            realized.add(tuple(v + y for v in L))
+    for shape, members in D1._shapes(D1.generators[-1] * bound).items():
+        observed.update(length_delta(mask_to_lengths(shape)))
+        stop = bound + 2 - shape.bit_length()  # min L + max shape <= bound
+        realized.update((shape, m) for m in range(min(lo for _, lo in members), stop))
     if observed - {1}:
         hyp.append(f"observed distances {sorted(observed)} != {{1}}")
     lo, hi = interval_needed
-    if tuple(range(lo, hi + 1)) not in realized:
+    if _shape_of(range(lo, hi + 1)) not in realized:
         hyp.append(f"[{lo},{hi}] not realized up to the bound")
     if hyp:
         return Thm57Report(case, "hypothesis-not-met", tuple(hyp), (), (), bound)
 
     group = G3 if case == "b2" else G33
-    family = {tuple(sorted(m)) for m in family_members_up_to(group, bound)}
-
-    missing = tuple(sorted(family - realized))
-    extra = tuple(sorted(realized - family))
+    family = {_shape_of(m) for m in family_members_up_to(group, bound)}
+    missing, extra = (
+        tuple(sorted(tuple(v + m for v in mask_to_lengths(sh)) for sh, m in pairs))
+        for pairs in (family - realized, realized - family)
+    )
     status = "pass" if not missing and not extra else "fail"
     return Thm57Report(case, status, (), missing, extra, bound)

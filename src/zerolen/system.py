@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
-from .families import INTERSECTION, family_branches, intersection_witness
+from .families import COVERED_GROUPS, INTERSECTION, family_branches, intersection_witness
 from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
 from .lengths import (
     Lengths,
@@ -225,10 +225,11 @@ def _best_shift(k: int, candidates: Iterable[tuple[Iterable[int], object]]):
 def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     """Largest max L over bounded length sets containing k, as a certificate.
 
-    When the complete sweep up to ``size_bound(group, k)`` is affordable the
-    value is exact by exhaustion.  Otherwise it comes from the witness route
-    (``_rho_k_by_witness``).  Both routes take the best shift of each
-    candidate set with one scan (``_best_shift``).
+    When the complete sweep up to ``size_bound(group, k)`` is affordable, or
+    the group has no catalog (not in ``COVERED_GROUPS``, so no witnesses), the
+    value is exact by exhaustion under the node budget.  Otherwise it comes
+    from the witness route (``_rho_k_by_witness``).  Both routes take the best
+    shift of each candidate set with one scan (``_best_shift``).
     """
     if k < 2:
         raise ValueError("rho_k needs k >= 2")
@@ -236,7 +237,7 @@ def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
         return RhoKCertificate(k, k, True, "sweep", 0, None, None)
     need = size_bound(group, k)
     m = len(group.nonzero_elements)
-    if math.comb(need + m, m) // group.order > 600_000:
+    if group in COVERED_GROUPS and math.comb(need + m, m) // group.order > 600_000:
         return _rho_k_by_witness(group, k)
     system = bounded_system(group, None, need)
     value, entry, shift = _best_shift(k, ((e.lengths, e) for e in system.entries))
@@ -398,16 +399,17 @@ def bounded_intersection(
     """Sets of lengths present in every group's system, certified by witnesses.
 
     The groups are deduplicated and sorted by (order, invariant factors).
-    Candidates come from an exhaustive bounded system of the first, the base
-    (whose closed form makes it the minimal system), so nothing outside it can
-    lie in the intersection.  A sequence B with max L(B) <= max_value (9 when
-    None) has |B| <= ``size_bound(base, max_value)``: the base system is swept
-    to that bound, and every set up to max_value is a candidate (over the node
-    budget the sweep raises ``ResourceLimitError``).
+    Candidates come from an exhaustive bounded system of the first, the base,
+    since nothing outside it lies in the intersection (it is the minimal
+    system only when the base is C3 or C2xC2).  A sequence B with max L(B) <=
+    max_value (9 when None) has |B| <= ``size_bound(base, max_value)``: the
+    base system is swept to that bound, and every set up to max_value is a
+    candidate (over the node budget the sweep raises ``ResourceLimitError``).
     A candidate must match the T36-INTERSECT branch y + 2k + [0,k]; its
     membership in each group is certified by the engine-verified
     ``intersection_witness(g, y, k)``, and the reported per-group bound is the
-    longest witness used.
+    longest witness used.  A candidate that matches no branch is certified in
+    the base only, so it is reported unconfirmed in the first group after it.
     """
     gs = tuple(sorted(set(groups), key=lambda g: (g.order, g.invariant_factors)))
     if not gs:
@@ -430,7 +432,7 @@ def bounded_intersection(
     for L in candidates:
         match = next(INTERSECTION.matches(L), None)
         if match is None:
-            unconfirmed.append((L, base.invariant_factors))
+            unconfirmed.append((L, gs[1].invariant_factors))
             continue
         for g in gs:
             wit = intersection_witness(g, match.y, match.k)

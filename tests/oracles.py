@@ -138,6 +138,18 @@ def naive_realizing_elements(factor_gens, L, y_range, search_bound: int):
     return out
 
 
+def naive_thm57_sets(gens, bound: int) -> tuple[set, set]:
+    """(every y + L(a) with max <= bound, every distance of every L(a)) over
+    the members a <= nt * bound: one set per element and per shift y."""
+    realized, distances = set(), set()
+    for L in naive_numerical_lengths(gens, max(gens) * bound).values():
+        L = sorted(L)
+        distances.update(b - a for a, b in zip(L, L[1:]))
+        for y in range(bound - L[-1] + 1):
+            realized.add(tuple(v + y for v in L))
+    return realized, distances
+
+
 def naive_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
     """Every automorphism, by trying all images of the generators.
 

@@ -163,8 +163,11 @@ def test_numerical_budget_exit_code(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-_GAP_23 = {"beta": "10/9", "monoid": "<2,3>", "counterexamples": [], "status": "pass"}
-_57_FAILS = {"extra": [], "missing": [], "status": "hypothesis-not-met"}
+_GAP_23 = {
+    "beta": "10/9", "bound": 5000, "monoid": "<2,3>", "counterexamples": [],
+    "status": "pass",
+}
+_57_FAILS = {"bound": 200, "extra": [], "missing": [], "status": "hypothesis-not-met"}
 
 
 @pytest.mark.parametrize(
@@ -173,7 +176,7 @@ _57_FAILS = {"extra": [], "missing": [], "status": "hypothesis-not-met"}
         (["verify-gap", "2,3", "--bound", "5000"], 0, {**_GAP_23, "checked": 4999}),
         (
             ["verify-gap", "2,5", "--bound", "5000"], 0,
-            {"beta": "9/8", "checked": 4998, "counterexamples": [],
+            {"beta": "9/8", "bound": 5000, "checked": 4998, "counterexamples": [],
              "monoid": "<2,5>", "status": "pass"},
         ),
         (
@@ -182,22 +185,22 @@ _57_FAILS = {"extra": [], "missing": [], "status": "hypothesis-not-met"}
         ),
         (
             ["verify-gap", "4,6", "--bound", "400"], 0,
-            {**_GAP_23, "checked": 199, "monoid": "<4,6>"},
+            {**_GAP_23, "bound": 400, "checked": 199, "monoid": "<4,6>"},
         ),
         (
             ["verify-56", "2,3;2,3", "--bound", "160"], 0,
-            {"L": [2, 3], "factors": ["<2,3>", "<2,3>"], "status": "pass",
-             "violations": [], "window": [16, 26], "y_L": 16},
+            {"L": [2, 3], "factors": ["<2,3>", "<2,3>"], "search_bound": 160,
+             "status": "pass", "violations": [], "window": [16, 26], "y_L": 16},
         ),
         (
             ["verify-56", "2,3;2,3;2,3", "--bound", "40"], 0,
-            {"L": [2, 3], "factors": ["<2,3>", "<2,3>", "<2,3>"], "status": "pass",
-             "violations": [], "window": [24, 34], "y_L": 24},
+            {"L": [2, 3], "factors": ["<2,3>", "<2,3>", "<2,3>"], "search_bound": 40,
+             "status": "pass", "violations": [], "window": [24, 34], "y_L": 24},
         ),
         (
             ["verify-57", "2,3", "--case", "b2"], 0,
-            {"case": "b2", "extra": [], "hypothesis_failures": [], "missing": [],
-             "monoid": "<2,3>", "status": "pass"},
+            {"bound": 200, "case": "b2", "extra": [], "hypothesis_failures": [],
+             "missing": [], "monoid": "<2,3>", "status": "pass"},
         ),
         (
             ["verify-57", "2,5", "--case", "b2"], 1,
@@ -223,6 +226,39 @@ _57_FAILS = {"extra": [], "missing": [], "status": "hypothesis-not-met"}
 )
 def test_numerical_outputs_match_golden(capsys, argv, code, payload):
     assert run_json(capsys, "nm", *argv) == (code, payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nm", "lengths", "2,3", "7", "--bound", "1"],
+        ["nm", "invariants", "2,5", "--case", "b3"],
+        ["nm", "verify-gap", "2,3", "--L", "2,3"],
+        ["nm", "verify-56", "2,3;2,3", "--case", "b2"],
+    ],
+    ids=" ".join,
+)
+def test_nm_actions_reject_options_they_do_not_read(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_rho_k_sweeps_a_group_without_a_catalog_under_the_budget(capsys, monkeypatch):
+    # C7 has no witnesses, so rho_5 takes the sweep (exact value 15) even
+    # though its size estimate is over the sweep limit; at 1000 nodes it stops
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "1000")
+    assert main(["rho-k", "7", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_intersection_names_the_uncertified_group(capsys):
+    # the candidates come from the C5 sweep, so C5 certifies each of them;
+    # a set outside the T36 branch is unconfirmed in C2xC4
+    code, payload = run_json(capsys, "intersect", "5", "2x4", "--max-value", "6")
+    assert code == 1 and len(payload["unconfirmed"]) == 10
+    assert "[2, 3, 4] in (2, 4)" in payload["unconfirmed"]
+    assert all(u.endswith(" in (2, 4)") for u in payload["unconfirmed"])
 
 
 def test_intersection_sweeps_the_base_to_davenport_times_max(capsys):

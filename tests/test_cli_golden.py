@@ -43,9 +43,9 @@ GOLDEN = [
     ("intersect 3 5 --max-value 30", "a78ce58d457c7a05"),
     ("family list", "a66e55a68ca9c469"),
     ("family witness T48:L3 --k 4 --y 2", "aedd79abbeaddfdf"),
-    ("nm verify-gap 2,3", "f7447ecd678e28c2"),
-    ("nm verify-56 2,3;2,3 --bound 60", "77269bec729a1cf3"),
-    ("nm verify-57 2,3 --bound 60", "8466a8ccbfd954ae"),
+    ("nm verify-gap 2,3", "58226317e4354def"),
+    ("nm verify-56 2,3;2,3 --bound 60", "4e3a6a00ed68a7c5"),
+    ("nm verify-57 2,3 --bound 60", "1b1679a9eaf04630"),
     ("nm lengths 3,4,5 30", "b9e5450a5381cb3f"),
 ]
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,9 +12,11 @@ from zerolen import (
     verify_thm57_case,
     y_L_bound,
 )
-from zerolen.numerical import _length_extremes, _realizing_elements
+from zerolen import numerical
+from zerolen.families import G3, G33, family_members_up_to
+from zerolen.numerical import _realizing_elements
 
-from oracles import naive_numerical_lengths, naive_realizing_elements
+from oracles import naive_numerical_lengths, naive_realizing_elements, naive_thm57_sets
 
 
 def test_length_set_examples():
@@ -156,7 +159,7 @@ def test_y_l_bound():
     assert rep.y_l == 16
     assert rep.ok
     with pytest.raises(ValueError):
-        y_L_bound(ProductMonoid([NumericalMonoid([1])]), [2, 3])
+        y_L_bound(ProductMonoid([NumericalMonoid([1])]), [2, 3], 60)
 
 
 def test_thm57_cases():
@@ -195,16 +198,20 @@ def test_shape_search_matches_the_product_loop(factor_gens, search):
 @pytest.mark.parametrize(
     "gens", [(2, 3), (3, 4, 5), (7, 9, 17), (4, 6, 9), (5, 7, 11, 13)]
 )
-def test_gap_extremes_match_length_sets(gens):
+def test_gap_extremes_match_length_sets(gens, monkeypatch):
+    # the gap check reads min L and max L off each mask's extreme bits; with
+    # beta raised, every member whose elasticity lies in (1, beta) must show
     H = NumericalMonoid(gens)
-    want = []
-    for a in range(1, 801):
-        if H.contains(a):
-            L = H.length_set(a)
-            want.append((a, L[0], L[-1]))
-    assert list(_length_extremes(H, 800)) == want
     naive = naive_numerical_lengths(gens, 800)
-    assert [(a, min(naive[a]), max(naive[a])) for a in sorted(naive) if a] == want
+    members = [a for a in sorted(naive) if a]
+    gap = beta_gap(H)
+    for beta in (gap.beta, Fraction(5, 4), Fraction(3, 2), Fraction(2)):
+        monkeypatch.setattr(numerical, "beta_gap", lambda _, b=beta: replace(gap, beta=b))
+        rep = verify_elasticity_gap(H, 800)
+        assert rep.checked == len(members)
+        assert list(rep.counterexamples) == [
+            a for a in members if 1 != Fraction(max(naive[a]), min(naive[a])) < beta
+        ]
 
 
 @pytest.mark.parametrize("gens,bound", [((4, 6), 400), ((6, 10, 14), 600)])
@@ -219,3 +226,35 @@ def test_gap_check_on_scaled_monoids(gens, bound):
         if a and 1 != Fraction(max(naive[a]), min(naive[a])) < beta
     ]
     assert list(rep.counterexamples) == bad
+
+
+@pytest.mark.parametrize("bound", [20, 60, 200])
+@pytest.mark.parametrize("gens", [(2, 3), (2, 5), (3, 4, 5), (3, 5), (4, 6)])
+def test_thm57_shapes_match_the_plain_set_oracle(gens, bound):
+    realized, distances = naive_thm57_sets(gens, bound)
+    for case, group, interval in (("b2", G3, (2, 3)), ("b3", G33, (2, 3, 4, 5))):
+        rep = verify_thm57_case(NumericalMonoid(gens), case, bound)
+        hyp = rep.hypothesis_failures
+        seen = f"observed distances {sorted(distances)} != {{1}}"
+        assert (seen in hyp) == (distances != {1})
+        assert any("not realized" in h for h in hyp) == (interval not in realized)
+        if hyp:
+            assert (rep.status, rep.missing, rep.extra) == ("hypothesis-not-met", (), ())
+            continue
+        family = {tuple(sorted(m)) for m in family_members_up_to(group, bound)}
+        assert rep.missing == tuple(sorted(family - realized))
+        assert rep.extra == tuple(sorted(realized - family))
+        assert rep.status == ("pass" if family == realized else "fail")
+
+
+@pytest.mark.parametrize("bound", [20, 60])
+def test_thm57_lists_missing_and_extra_sets_like_the_oracle(monkeypatch, bound):
+    # <2,3> meets the b2 hypotheses; against the C3+C3 family without its sets
+    # of min 4, the sets y + L(a) miss some members and add the min-4 ones
+    realized, _ = naive_thm57_sets((2, 3), bound)
+    family = {tuple(sorted(m)) for m in family_members_up_to(G33, bound) if min(m) != 4}
+    monkeypatch.setattr(numerical, "family_members_up_to", lambda *_: family)
+    rep = verify_thm57_case(NumericalMonoid((2, 3)), "b2", bound)
+    assert rep.status == "fail" and rep.missing and rep.extra
+    assert rep.missing == tuple(sorted(family - realized))
+    assert rep.extra == tuple(sorted(realized - family))
