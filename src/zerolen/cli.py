@@ -199,8 +199,6 @@ def cmd_family(args) -> int:
         _emit({"families": rows}, args.json)
         return 0
     if args.action in ("member", "witness"):
-        if not args.id:
-            raise UsageError(f"family {args.action} needs an id such as T46:L6")
         fam, sep, branch = args.id.partition(":")
         branch = branch if sep else None
         if args.action == "member":
@@ -211,10 +209,10 @@ def cmd_family(args) -> int:
         wit = witness_sequence(fam, branch, y=args.y, k=args.k, group=group)
         _emit({"id": args.id, "witness": wit.literal()}, args.json)
         return 0
-    # match; usage: family match <group> --set 2,5   (group may ride the id slot)
-    if not (args.group or args.id):
+    # match
+    if not args.group:
         raise UsageError("family match needs a group: family match <group> --set 2,5")
-    group = parse_group(args.group or args.id)
+    group = parse_group(args.group)
     if not args.set:
         raise UsageError("family match needs --set with comma-separated lengths")
     lengths = [int(t) for t in args.set.replace(" ", "").split(",") if t]
@@ -372,14 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-value", type=int)
     s.set_defaults(fn=cmd_intersect)
 
-    s = add("family", help="closed-form families")
-    s.add_argument("action", choices=("list", "member", "witness", "match"))
-    s.add_argument("id", nargs="?")
-    s.add_argument("--group")
-    s.add_argument("--set", help="comma-separated lengths (match)")
-    s.add_argument("--y", type=int, default=0)
-    s.add_argument("--k", type=int, default=0)
+    s = sub.add_parser("family", help="closed-form families")
     s.set_defaults(fn=cmd_family)
+    family = s.add_subparsers(dest="action", required=True)
+
+    def add_family(action, help, member=False):
+        s = family.add_parser(action, parents=[common], help=help)
+        if member:  # member and witness read one branch at (y, k)
+            s.add_argument("id", help="family and branch, such as T46:L6")
+            s.add_argument("--y", type=int, default=0)
+            s.add_argument("--k", type=int, default=0)
+        return s
+
+    add_family("list", "every registered family branch")
+    add_family("member", "the member of a branch at (y, k)", member=True)
+    s = add_family("witness", "a witness sequence of that member", member=True)
+    s.add_argument("--group", help="the group of a branch that names none")
+    s = add_family("match", "the branches that hold a set of lengths")
+    # optional for argparse, so that a missing group is a one-line error
+    s.add_argument("group", nargs="?")
+    s.add_argument("--set", help="comma-separated lengths")
 
     s = add("verify", help="run a named verification target")
     s.add_argument("target", choices=TARGETS)

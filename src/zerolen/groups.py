@@ -260,31 +260,36 @@ class AutomorphismTree:
         for n in factors:
             self._lows.append(-1 if (n - 1) * span == 1 else ())
             span *= n
+        # the candidate images of a generator of order n: each element h of
+        # order n, with its multiples h, 2h, ..., (n - 1)h
+        candidates = {}
+        for n in set(factors):
+            candidates[n] = []
+            for h in range(1, len(elems)):
+                multiples = [h]
+                while multiples[-1] and len(multiples) < n - 1:
+                    multiples.append(add[multiples[-1]][h])
+                if multiples[-1] and not add[multiples[-1]][h]:
+                    candidates[n].append(multiples)
+        position = [i - 1 for i in range(len(elems))]  # element index -> position
         leaves = 0
 
         def grow(depth: int, img: list[int]) -> list:
             nonlocal leaves
-            n, taken, kids = factors[depth], set(img), []
-            for h in range(1, len(elems)):
-                multiples, x = [], 0
-                for _ in range(n - 1):
-                    x = add[x][h]
-                    if x in taken:
-                        break
-                    multiples.append(x)
+            taken, kids = set(img), []
+            for multiples in candidates[factors[depth]]:
+                if not taken.isdisjoint(multiples):
+                    continue
+                block = [add[c][y] for c in multiples for y in img]
+                full = img + block
+                if depth + 1 == len(factors):
+                    sub = tuple(map(position.__getitem__, full[1:]))
+                    leaves += 1
                 else:
-                    if add[x][h]:  # the order of h does not divide n
+                    sub = grow(depth + 1, full)
+                    if not sub:  # no automorphism extends this choice
                         continue
-                    block = [add[c][y] for c in multiples for y in img]
-                    full = img + block
-                    if depth + 1 == len(factors):
-                        sub = tuple(i - 1 for i in full[1:])
-                        leaves += 1
-                    else:
-                        sub = grow(depth + 1, full)
-                        if not sub:  # no automorphism extends this choice
-                            continue
-                    kids.append((itemgetter(*(b - 1 for b in block)), sub))
+                kids.append((itemgetter(*map(position.__getitem__, block)), sub))
             return kids
 
         self._root = grow(0, [0]) if factors else ()

@@ -25,7 +25,10 @@ representative R of S's orbit by pushing A∘φ onto R, and pushes that differ
 by an element of Stab(R) land in one orbit, so one atom per Stab(R)-orbit
 suffices.  A representative is a zero-sum multiset of the same size with the
 same lengths as every member of its orbit, so it is a valid witness with the
-same minimal length.  Its budget counts canonical forms, not states.
+same minimal length.  Each distinct child is canonicalized once, when its
+level is complete, and Stab(R) with its atom orbits is shared by every R
+whose equal multiplicities sit at the same positions.  Its budget counts
+canonical forms, not states: one per distinct child and one per stabilizer.
 
 ``LengthEngine.length_set`` runs the plain sweep capped by B's zero-free
 core and keeps only the top state's mask, memoized per core.  Zeros are
@@ -37,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .atoms import enumerate_atoms
@@ -156,16 +160,20 @@ def packed_sweep(
         ]
         for i in range(max(len(support), 1))
     ]
-    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit)
+    # a state of size s has no field above s, so caps of at least limit
+    # never reject a push and the sweep skips the cap test
+    capped = any(c < limit for c in caps)
+    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit, capped)
     return layout, levels
 
 
-def _levels(by_pivot, bits, ceiling, guard, limit):
+def _levels(by_pivot, bits, ceiling, guard, limit, capped):
     """Yield each level once every push into it is done, then expand it.
 
     A pivot's push list pairs each of its atoms with its target level.  It
     is built from the pivot's length buckets, one target lookup per bucket,
-    when the first state of the level with that pivot needs it.
+    when the first state of the level with that pivot needs it.  Without
+    ``capped`` every push is kept.
     """
     tick = NodeCounter().tick
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level
@@ -188,9 +196,14 @@ def _levels(by_pivot, bits, ceiling, guard, limit):
                     if alen > room:
                         break
                     pairs += zip(aks, repeat(pending.setdefault(s + alen, {})))
-            for ak, tgt in pairs:
-                nk = state + ak
-                if (ceiling - nk) & guard == guard:  # every field within its cap
+            if capped:
+                for ak, tgt in pairs:
+                    nk = state + ak
+                    if (ceiling - nk) & guard == guard:  # every field within its cap
+                        tgt[nk] = tgt.get(nk, 0) | shifted
+            else:
+                for ak, tgt in pairs:
+                    nk = state + ak
                     tgt[nk] = tgt.get(nk, 0) | shifted
 
 
@@ -207,67 +220,94 @@ def orbit_sweep(
     and one representative per orbit carries the whole orbit's lengths.
     From a representative R only one atom per orbit of Stab(R) is pushed:
     R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
-    budget ticks once per canonical form computed, R's own included.
+    budget ticks once per canonical form computed: once per distinct child
+    of a level, and once per stabilizer.
     """
     catalog = enumerate_atoms(group)
     support = group.nonzero_elements
     layout = PackedLayout(group, support, limit + catalog.davenport)
     tree = group.automorphisms  # position p is support[p]
-    # an atom is its length and its positions, each repeated by multiplicity
-    atoms = [
-        (a.length, tuple(support.index(g) for g, m in a.items for _ in range(m)))
-        for a in catalog
-        if a.length <= limit
-    ]
-    return layout, _orbit_levels(tree, atoms, layout.bits, limit)
+    position = {g: p for p, g in enumerate(support)}
+    # atoms by length, shortest first; an atom is its positions in ascending
+    # order, each repeated by multiplicity, and its packed state
+    by_length: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for a in catalog:
+        if a.length <= limit:
+            ps = tuple(position[g] for g, m in a.items for _ in range(m))
+            by_length.setdefault(a.length, []).append((ps, layout.pack(a.items)))
+    buckets = sorted(by_length.items())
+    return layout, _orbit_levels(tree, buckets, layout.bits, limit)
 
 
-def _orbit_levels(tree, atoms, bits, limit):
-    """Yield each level of representatives once complete, then expand it."""
+def _orbit_levels(tree, buckets, bits, limit):
+    """Yield each level of representatives once complete, then expand it.
+
+    A pending level holds the packed children in push order, and each
+    distinct child is canonicalized once, when its level is complete.  The
+    first child pushed into an orbit is also the first of that orbit in
+    push order, so every orbit keeps the place it would get if each push
+    were canonicalized at once.  Stab(R) depends only on which positions of
+    R share a multiplicity (R's split), so it is computed once per split,
+    and its orbits on the atoms of one length once per split and length
+    (an automorphism keeps an atom's length).
+    """
     tick = NodeCounter().tick
     canonical = tree.canonical
-    weight = [1 << p * bits for p in range(tree.size)]  # packs a position
-    pending: dict[int, dict[tuple, int]] = {0: {(0,) * tree.size: 1}}
+    field = (1 << bits) - 1
+    offsets = range(0, tree.size * bits, bits)
+    stabs: dict[tuple, list] = {}  # split -> Stab(R)
+    orbits: dict[tuple, list[int]] = {}  # (split, length) -> one atom per orbit
+    pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> child -> mask
     for s in range(limit + 1):
-        cur = pending.pop(s, {})
-        yield {
-            sum(m << p * bits for p, m in enumerate(rep)): mask
-            for rep, mask in cur.items()
+        children = pending.pop(s, {})
+        tick(len(children))
+        reps: dict[tuple, int] = {}
+        for child, mask in children.items():
+            rep, _ = canonical([child >> o & field for o in offsets])
+            reps[rep] = reps.get(rep, 0) | mask
+        level = {
+            sum(m << o for m, o in zip(rep, offsets)): mask
+            for rep, mask in reps.items()
         }
-        fit = [a for a in atoms if a[0] <= limit - s]
-        if not fit:
+        yield level
+        room = limit - s
+        if not buckets or buckets[0][0] > room:
             continue
-        for rep, mask in cur.items():
-            _, stab = canonical(rep)
-            pushes = _one_per_orbit(fit, stab, weight)
-            tick(1 + len(pushes))
+        # level was built from reps, in their order
+        for rep, (state, mask) in zip(reps, level.items()):
+            labels: dict[int, int] = {}
+            split = tuple(labels.setdefault(m, len(labels)) for m in rep)
+            stab = stabs.get(split)
+            if stab is None:
+                tick(1)
+                stab = stabs[split] = canonical(rep)[1]
             shifted = mask << 1
-            for alen, ps in pushes:
-                child = list(rep)
-                for p in ps:
-                    child[p] += 1
-                key, _ = canonical(child)
+            for alen, atoms in buckets:
+                if alen > room:
+                    break
+                firsts = orbits.get((split, alen))
+                if firsts is None:
+                    firsts = orbits[split, alen] = _one_per_orbit(atoms, stab)
                 tgt = pending.setdefault(s + alen, {})
-                tgt[key] = tgt.get(key, 0) | shifted
+                for ak in firsts:
+                    nk = state + ak
+                    tgt[nk] = tgt.get(nk, 0) | shifted
 
 
-def _one_per_orbit(atoms, stab, weight):
-    """One atom of each orbit of ``stab`` acting on ``atoms``.
+def _one_per_orbit(atoms, stab) -> list[int]:
+    """The packed state of the first atom of each orbit of ``stab`` on ``atoms``.
 
-    An atom's key packs its positions; φ sends it to the key of φ's images.
+    Each atom is (positions, packed state); its image under φ is the sorted
+    tuple of φ's images of its positions.
     """
     if len(stab) == 1:
-        return atoms
-    at = weight.__getitem__
-    seen: set[int] = set()
+        return [ak for _, ak in atoms]
+    seen: set[tuple[int, ...]] = set()
     out = []
-    for atom in atoms:
-        ps = atom[1]
-        if sum(map(at, ps)) in seen:
-            continue
-        out.append(atom)
-        for q in stab:
-            seen.add(sum(map(at, map(q.__getitem__, ps))))
+    for ps, ak in atoms:
+        if ps not in seen:
+            out.append(ak)
+            seen.update(map(tuple, map(sorted, map(itemgetter(*ps), stab))))
     return out
 
 

@@ -18,13 +18,14 @@ with the same lengths and minimal length as the plain sweep's, and the node
 budget counts canonical forms.  ``delta_star`` needs every support, so it
 spreads each representative's distances over the Aut-orbit of its support.
 The orbit sweep pays for its canonical forms only where the orbits are
-large.  In paired timings of both sweeps (2 cores, Python 3.11) it was
-2.5-5x slower at |Aut(G)| <= 16 (C5, C2xC4, C2xC8), 1.1-1.3x faster on
-C3xC3 (48), C4xC4 (96), C2^3 (168) and C2^2xC4 (192), and 10x faster on
-C2^4 (20,160; bound 12, 7x with the 0.16 s tree build).  The constant sits
-above 168 so that C2^3 and C3xC3, whose witnesses the CLI's pinned outputs
-print, keep the plain sweep and its witnesses; their gain is small, and
-C4xC4 stays with them.
+large.  In paired timings of both sweeps at ``default_bound``, with the tree
+built beforehand (5 alternating pairs, 2 cores, Python 3.11), it was 2x
+slower at |Aut(G)| <= 8 (C5, C2xC4), 1.25x faster on C2xC8 (16), 2.4x on
+C3xC3 (48), 3.4x on C4xC4 (96), 2.7x on C2^3 (168), 4.3x on C2^2xC4 (192)
+and 16x on C2^4 (20,160; bound 12, where the tree build takes 0.12 s).
+The constant stays at 192 so that C2^3 and C3xC3, whose witnesses the CLI's
+pinned outputs print, keep the plain sweep and its witnesses, and C4xC4
+and C2xC8 stay with them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import or_
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
@@ -322,17 +324,34 @@ def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
                     d |= by_support[s]
                 for s in orbit:
                     by_support[s] = d
-    for i in range(m):
-        bit = 1 << i
-        for s in range(1 << m):
-            if s & bit:
-                by_support[s] |= by_support[s ^ bit]
+    _subset_union(by_support, m)
 
     mins: set[int] = set()
     for acc in by_support:
         if acc:
             mins.add((acc & -acc).bit_length() - 1)
     return tuple(sorted(mins))
+
+
+def _subset_union(values: list[int], m: int) -> None:
+    """Replace each values[s], s < 2^m, by the OR of values[t] over t ⊆ s.
+
+    The zeta transform over OR, one bit b at a time: every s with bit b set
+    takes in values[s - 2^b].  Those s form 2^b slices of step 2^(b+1), or
+    2^(m-1-b) runs of 2^b; each pass takes the fewer, and ORs them at C level.
+    """
+    size = 1 << m
+    for b in range(m):
+        bit = 1 << b
+        step = bit << 1
+        if 2 * b < m:
+            for j in range(bit):
+                hi = slice(bit + j, size, step)
+                values[hi] = map(or_, values[hi], values[j:size:step])
+        else:
+            for lo in range(0, size, step):
+                hi = slice(lo + bit, lo + step)
+                values[hi] = map(or_, values[hi], values[lo : lo + bit])
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ recursive factorization search) and deliberately avoids the pruned search,
 the memoized recursion and the packed sweep of the package under test.  The
 only shared ingredient is elementwise group arithmetic.  The numerical-monoid
 oracles work on plain sets of lengths, never on the package's bitmask table.
+The orbit-sweep reference is the one exception: it is the reference for the
+sweep's step only, so it reads the atom catalog and the automorphism tree,
+which are checked against ``naive_atoms`` and ``naive_automorphisms``.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from zerolen.atoms import enumerate_atoms
 from zerolen.groups import FiniteAbelianGroup
 from zerolen.sequences import Sequence
 
@@ -175,4 +179,56 @@ def naive_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
             values.append(index[acc])
         if len(set(values)) == len(elems):
             out.add(tuple(v - 1 for v in values[1:]))
+    return out
+
+
+def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
+    """The levels of ``lengths.orbit_sweep`` by the plain per-representative step.
+
+    Each representative R is canonicalized for its stabilizer, one atom of
+    each Stab(R)-orbit is found by taking that atom's image under every
+    element of Stab(R), and every child is canonicalized as it is pushed.
+    Levels map packed canonical forms (``bits`` per field) to length masks,
+    in the order their first child was pushed; no budget is kept.
+    """
+    tree = group.automorphisms
+    support = group.nonzero_elements
+    atoms = [
+        (a.length, tuple(support.index(g) for g, m in a.items for _ in range(m)))
+        for a in enumerate_atoms(group)
+        if a.length <= limit
+    ]
+    weight = [1 << p * bits for p in range(tree.size)]
+    pending: dict[int, dict[tuple, int]] = {0: {(0,) * tree.size: 1}}
+    for s in range(limit + 1):
+        cur = pending.pop(s, {})
+        yield {
+            sum(m << p * bits for p, m in enumerate(rep)): mask
+            for rep, mask in cur.items()
+        }
+        fit = [a for a in atoms if a[0] <= limit - s]
+        for rep, mask in cur.items():
+            _, stab = tree.canonical(rep)
+            seen: set[int] = set()
+            for alen, ps in fit:
+                if sum(weight[p] for p in ps) in seen:
+                    continue
+                for q in stab:
+                    seen.add(sum(weight[q[p]] for p in ps))
+                child = list(rep)
+                for p in ps:
+                    child[p] += 1
+                key, _ = tree.canonical(child)
+                tgt = pending.setdefault(s + alen, {})
+                tgt[key] = tgt.get(key, 0) | mask << 1
+
+
+def naive_subset_union(values: list[int], m: int) -> list[int]:
+    """out[s] = OR of values[t] over every subset t of s, one bit at a time."""
+    out = list(values)
+    for i in range(m):
+        bit = 1 << i
+        for s in range(1 << m):
+            if s & bit:
+                out[s] |= out[s ^ bit]
     return out

@@ -131,6 +131,31 @@ def test_family_usage_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "list", "--set", "2,5"],
+        ["family", "list", "--set", "2,5", "--y", "3", "--k", "9", "--group", "7"],
+        ["family", "member", "T46:L6", "--group", "2x4", "--set", "1"],
+        ["family", "witness", "T48:L3", "--set", "2,5"],
+        ["family", "match", "5", "--set", "2,5", "--k", "1"],
+        ["family", "match", "5", "T46:L4", "--set", "2,5"],
+    ],
+    ids=" ".join,
+)
+def test_family_actions_reject_options_they_do_not_read(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
+
+def test_family_match_takes_its_group_as_a_positional(capsys):
+    code, payload = run_json(capsys, "family", "match", "2x4", "--set", "2,4,5")
+    assert code == 0 and payload["group"] == "C2xC4"
+    assert {"family": "T47", "branch": "L4", "y": 0, "k": 1} in payload["matches"]
+
+
+@pytest.mark.parametrize(
     "groups, swept",
     [(["3", "3"], ["C3"]), (["4", "2x2"], ["C2xC2", "C4"])],
 )

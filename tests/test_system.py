@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product as iproduct
 
@@ -18,11 +19,12 @@ from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
 from zerolen.system import (
     _delta_star_from,
     _rho_k_by_witness,
+    _subset_union,
     _sweep,
     _system_from,
 )
 
-from oracles import naive_lengths
+from oracles import naive_lengths, naive_orbit_levels, naive_subset_union
 
 
 def _bounded_sweep(G, bound):
@@ -204,7 +206,7 @@ def test_node_budget_cap_is_honored(monkeypatch):
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "50")
     with pytest.raises(ResourceLimitError):
         bounded_system(make_group([2, 4]), None, 14)
-    # the orbit sweep ticks once per canonical form
+    # the orbit sweep ticks once per distinct child and once per stabilizer
     with pytest.raises(ResourceLimitError):
         bounded_system(G, None, 12)
     with pytest.raises(ResourceLimitError):
@@ -223,7 +225,7 @@ def test_orbit_sweep_selection():
 
 @pytest.mark.parametrize(
     "factors, bound",
-    [([2, 2, 2, 2], 8), ([2, 2, 2, 2], 10), ([2, 2, 2], 16), ([3, 3], 16)],
+    [([2, 2, 2, 2], 8), ([2, 2, 2, 2], 10), ([2, 2, 2], 16), ([3, 3], 16), ([2, 2, 4], 8)],
 )
 def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     # the plain sweep is the orbit sweep's oracle
@@ -250,6 +252,28 @@ def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     assert sum(map(len, o_levels)) < sum(map(len, p_levels))
     for o_level, p_level in zip(o_levels, p_levels):
         assert set(o_level.values()) == set(p_level.values())
+
+
+@pytest.mark.parametrize(
+    "factors, bound", [([2, 2, 2, 2], 8), ([2, 2, 2, 2], 10), ([2, 2, 4], 8)]
+)
+def test_orbit_levels_match_the_per_representative_step(factors, bound):
+    # canonicalizing each distinct child once, with stabilizer orbits shared
+    # per split, yields the same keys, masks and key order as the plain step
+    G = make_group(factors)
+    layout, levels = orbit_sweep(G, bound)
+    got = [list(level.items()) for level in levels]
+    want = [list(level.items()) for level in naive_orbit_levels(G, layout.bits, bound)]
+    assert got == want
+
+
+@pytest.mark.parametrize("m", range(1, 16))
+def test_subset_union_matches_the_bit_loop(m):
+    rng = random.Random(m)
+    values = [rng.getrandbits(8) if rng.random() < 0.3 else 0 for _ in range(1 << m)]
+    want = naive_subset_union(values, m)
+    _subset_union(values, m)
+    assert values == want
 
 
 def test_compare_certifies_absence_only_when_bound_allows():
