@@ -173,7 +173,9 @@ def _levels(by_pivot, bits, ceiling, guard, limit, capped):
     A pivot's push list pairs each of its atoms with its target level.  It
     is built from the pivot's length buckets, one target lookup per bucket,
     when the first state of the level with that pivot needs it.  Without
-    ``capped`` every push is kept.
+    ``capped`` every push is kept, by a loop without the cap test: the plain
+    bounded sweeps of C2^3, C3xC3, C2xC4, C2xC8 and C4xC4 take 1.2-1.5x
+    as long with the test.
     """
     tick = NodeCounter().tick
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level

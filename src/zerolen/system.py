@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import or_
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
@@ -324,34 +323,17 @@ def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
                     d |= by_support[s]
                 for s in orbit:
                     by_support[s] = d
-    _subset_union(by_support, m)
+    for i in range(m):
+        bit = 1 << i
+        for s in range(1 << m):
+            if s & bit:
+                by_support[s] |= by_support[s ^ bit]
 
     mins: set[int] = set()
     for acc in by_support:
         if acc:
             mins.add((acc & -acc).bit_length() - 1)
     return tuple(sorted(mins))
-
-
-def _subset_union(values: list[int], m: int) -> None:
-    """Replace each values[s], s < 2^m, by the OR of values[t] over t ⊆ s.
-
-    The zeta transform over OR, one bit b at a time: every s with bit b set
-    takes in values[s - 2^b].  Those s form 2^b slices of step 2^(b+1), or
-    2^(m-1-b) runs of 2^b; each pass takes the fewer, and ORs them at C level.
-    """
-    size = 1 << m
-    for b in range(m):
-        bit = 1 << b
-        step = bit << 1
-        if 2 * b < m:
-            for j in range(bit):
-                hi = slice(bit + j, size, step)
-                values[hi] = map(or_, values[hi], values[j:size:step])
-        else:
-            for lo in range(0, size, step):
-                hi = slice(lo + bit, lo + step)
-                values[hi] = map(or_, values[hi], values[lo : lo + bit])
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,3 @@ def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
                 tgt = pending.setdefault(s + alen, {})
                 tgt[key] = tgt.get(key, 0) | mask << 1
 
-
-def naive_subset_union(values: list[int], m: int) -> list[int]:
-    """out[s] = OR of values[t] over every subset t of s, one bit at a time."""
-    out = list(values)
-    for i in range(m):
-        bit = 1 << i
-        for s in range(1 << m):
-            if s & bit:
-                out[s] |= out[s ^ bit]
-    return out

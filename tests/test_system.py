@@ -1,4 +1,3 @@
-import random
 import tracemalloc
 from itertools import product as iproduct
 
@@ -19,12 +18,11 @@ from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
 from zerolen.system import (
     _delta_star_from,
     _rho_k_by_witness,
-    _subset_union,
     _sweep,
     _system_from,
 )
 
-from oracles import naive_lengths, naive_orbit_levels, naive_subset_union
+from oracles import naive_lengths, naive_orbit_levels
 
 
 def _bounded_sweep(G, bound):
@@ -265,15 +263,6 @@ def test_orbit_levels_match_the_per_representative_step(factors, bound):
     got = [list(level.items()) for level in levels]
     want = [list(level.items()) for level in naive_orbit_levels(G, layout.bits, bound)]
     assert got == want
-
-
-@pytest.mark.parametrize("m", range(1, 16))
-def test_subset_union_matches_the_bit_loop(m):
-    rng = random.Random(m)
-    values = [rng.getrandbits(8) if rng.random() < 0.3 else 0 for _ in range(1 << m)]
-    want = naive_subset_union(values, m)
-    _subset_union(values, m)
-    assert values == want
 
 
 def test_compare_certifies_absence_only_when_bound_allows():
