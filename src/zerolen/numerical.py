@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Sequence as Seq
 from .budget import NodeCounter
 from .families import G3, G33, family_members_up_to
 from .lengths import Lengths, delta as length_delta, mask_to_lengths
+from .system import check_bound
 
 
 class NumericalMonoid:
@@ -233,6 +234,7 @@ def verify_elasticity_gap(H: NumericalMonoid, bound: int) -> GapReport:
     comparison with beta is made in integers, so the check costs one table
     growth plus constant work per member.
     """
+    check_bound(bound)
     gap = beta_gap(H)
     num, den = gap.beta.numerator, gap.beta.denominator
     bad = []
@@ -259,6 +261,8 @@ class ProductMonoid:
     def __init__(self, factors: Seq[NumericalMonoid], free_rank: int = 0):
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        if not factors:
+            raise ValueError("products need at least one numerical monoid factor")
         if len(factors) > 3:
             raise ValueError("products are limited to at most 3 factors")
         self.factors = tuple(factors)
@@ -355,6 +359,9 @@ def y_L_bound(
     """
     if D.free_rank:
         raise ValueError("the non-realizability bound assumes a trivial free part")
+    check_bound(search_bound)
+    if window < 0:
+        raise ValueError("window must be >= 0")
     Lset = tuple(sorted(set(L)))
     if not Lset:
         raise ValueError("L must be nonempty")
@@ -395,6 +402,7 @@ def verify_thm57_case(D1: NumericalMonoid, case: str, bound: int) -> Thm57Report
     """
     if case not in ("b2", "b3"):
         raise ValueError("case must be 'b2' or 'b3'")
+    check_bound(bound)
     hyp = []
     rho_needed = Fraction(3, 2) if case == "b2" else Fraction(5, 2)
     interval_needed = (2, 3) if case == "b2" else (2, 5)

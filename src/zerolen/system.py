@@ -390,7 +390,6 @@ class IntersectionReport:
     sets: tuple[Lengths, ...]
     groups: tuple[FiniteAbelianGroup, ...]  # deduplicated, the base first
     max_value: int
-    witness_bounds: dict[tuple[int, ...], int]
     unconfirmed: tuple[tuple[Lengths, tuple[int, ...]], ...]
 
 
@@ -408,9 +407,9 @@ def bounded_intersection(
     candidate (over the node budget the sweep raises ``ResourceLimitError``).
     A candidate must match the T36-INTERSECT branch y + 2k + [0,k]; its
     membership in each group is certified by the engine-verified
-    ``intersection_witness(g, y, k)``, and the reported per-group bound is the
-    longest witness used.  A candidate that matches no branch is certified in
-    the base only, so it is reported unconfirmed in the first group after it.
+    ``intersection_witness(g, y, k)``.  A candidate that matches no branch is
+    certified in the base only, so it is reported unconfirmed in the first
+    group after it.
     """
     gs = tuple(sorted(set(groups), key=lambda g: (g.order, g.invariant_factors)))
     if not gs:
@@ -422,14 +421,10 @@ def bounded_intersection(
     base_sys = bounded_system(base, base.elements, size_bound(base, max_value))
     candidates = [L for L in base_sys.length_sets() if L[-1] <= max_value]
     if len(gs) == 1:
-        return IntersectionReport(
-            tuple(candidates), gs, max_value,
-            {base.invariant_factors: base_sys.bound}, (),
-        )
+        return IntersectionReport(tuple(candidates), gs, max_value, ())
 
     confirmed: list[Lengths] = []
     unconfirmed: list[tuple[Lengths, tuple[int, ...]]] = []
-    wit_bounds: dict[tuple[int, ...], int] = {g.invariant_factors: 0 for g in gs}
     for L in candidates:
         match = next(INTERSECTION.matches(L), None)
         if match is None:
@@ -440,10 +435,6 @@ def bounded_intersection(
             if engine_for(g).length_set(wit) != L:
                 unconfirmed.append((L, g.invariant_factors))
                 break
-            key = g.invariant_factors
-            wit_bounds[key] = max(wit_bounds[key], wit.length)
         else:
             confirmed.append(L)
-    return IntersectionReport(
-        tuple(confirmed), gs, max_value, wit_bounds, tuple(unconfirmed)
-    )
+    return IntersectionReport(tuple(confirmed), gs, max_value, tuple(unconfirmed))

@@ -6,14 +6,16 @@ zero-sum sequence over a group's nonzero elements up to the bound, by default
 ``system.default_bound``, and demands each distinct length set match a
 registered family; a completeness run sweeps family parameters and demands
 each witness sequence realize its member exactly.  Reports name the bounds
-the library ran at and are deterministic given them.
+the library ran at and are deterministic given them.  One table maps each
+target to its runner, and ``TARGETS`` lists the table's keys in order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .budget import global_nodes
 from .families import (
@@ -34,10 +36,6 @@ from .families import (
 from .groups import FiniteAbelianGroup
 from .lengths import engine_for
 from .system import bounded_intersection, bounded_system, check_bound, size_bound
-
-_CATALOG_TARGETS = tuple(dict.fromkeys(br.catalog for br in REGISTRY if br.group))
-TARGETS = (*_CATALOG_TARGETS, "T36", "C24INT")
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -216,20 +214,27 @@ def _verify_c24int(bound: Optional[int]) -> VerificationReport:
     return report
 
 
+_RUNNERS: dict[str, Callable[[Optional[int]], VerificationReport]] = {
+    **{
+        catalog: partial(_verify_catalog, catalog)
+        for catalog in dict.fromkeys(br.catalog for br in REGISTRY if br.group)
+    },
+    "T36": _verify_t36,
+    "C24INT": _verify_c24int,
+}
+TARGETS = tuple(_RUNNERS)
+
+
 def run_verification(target: str, bound: Optional[int] = None) -> VerificationReport:
     """Run one verification target; status reflects the counterexample list."""
     if bound is not None:
         check_bound(bound)
+    runner = _RUNNERS.get(target)
+    if runner is None:
+        raise ValueError(f"unknown verify target {target!r}; known: {TARGETS}")
     start = time.perf_counter()
     nodes_before = global_nodes()
-    if target in _CATALOG_TARGETS:
-        report = _verify_catalog(target, bound)
-    elif target == "T36":
-        report = _verify_t36(bound)
-    elif target == "C24INT":
-        report = _verify_c24int(bound)
-    else:
-        raise ValueError(f"unknown verify target {target!r}; known: {TARGETS}")
+    report = runner(bound)
     report.status = "pass" if not report.counterexamples else "fail"
     report.seconds = time.perf_counter() - start
     report.nodes = global_nodes() - nodes_before

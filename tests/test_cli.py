@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerolen
 from zerolen.cli import main
 from zerolen.verify import TARGETS
 
@@ -85,6 +90,9 @@ def test_usage_errors(capsys):
         ["delta-star", "3", "--max-len", "-1"],
         ["compare", "3", "4", "--max-len", "-1"],
         *(["verify", t, "--bound", "-1"] for t in TARGETS),
+        ["nm", "verify-gap", "2,3", "--bound", "-5"],
+        ["nm", "verify-56", "2,3;2,3", "--bound", "-1"],
+        ["nm", "verify-57", "2,3", "--bound", "-1"],
     ],
     ids=" ".join,
 )
@@ -92,6 +100,54 @@ def test_negative_bound_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_USAGE_ERRORS = [
+    # (argv, the argument a rejected value is named by, or None)
+    (["system"], None),
+    (["family", "member"], None),
+    (["nm", "lengths", "2,3"], None),
+    (["lengths", "5", "(1)^5*(4)^5", "--bogus"], None),
+    (["verify", "BOGUS"], "target"),
+    (["nm", "verify-57", "2,3", "--case", "b9"], "--case"),
+    (["rho-k", "5", "x"], "k"),
+    (["system", "3", "--max-len", "x"], "--max-len"),
+    (["family", "match", "5", "--set", "2,x"], "--set"),
+    (["family", "match", "5", "--set", ","], "--set"),
+    (["nm", "verify-56", "2,3;2,3", "--L", "2,x"], "--L"),
+    (["nm", "lengths", "2,x", "7"], "gens"),
+    (["nm", "verify-56", ";"], "gens"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name", _USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in _USAGE_ERRORS]
+)
+def test_every_usage_error_is_one_line(capsys, argv, name):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if name:
+        assert f"argument {name}: " in captured.err
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the payload (117 kB) is larger than a pipe's buffer, so the command is
+    # still writing when the reader closes the pipe
+    argv = ["nm", "lengths", "2,3", "100000", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(zerolen.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zerolen.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{"a": 1000'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""  # no traceback, no "Exception ignored" line
+    assert proc.returncode == 0
 
 
 def test_json_determinism(capsys):

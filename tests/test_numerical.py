@@ -162,6 +162,22 @@ def test_y_l_bound():
         y_L_bound(ProductMonoid([NumericalMonoid([1])]), [2, 3], 60)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda H: verify_elasticity_gap(H, -5),
+        lambda H: verify_thm57_case(H, "b2", -1),
+        lambda H: y_L_bound(ProductMonoid([H, H]), [2, 3], -1),
+        lambda H: y_L_bound(ProductMonoid([H, H]), [2, 3], 60, window=-1),
+        lambda H: ProductMonoid([]),
+    ],
+    ids=["gap bound", "thm57 bound", "y_L bound", "y_L window", "empty product"],
+)
+def test_numerical_checks_reject_vacuous_inputs(call):
+    with pytest.raises(ValueError):
+        call(NumericalMonoid([2, 3]))
+
+
 def test_thm57_cases():
     assert verify_thm57_case(NumericalMonoid([2, 3]), "b2", 20).status == "pass"
     rep = verify_thm57_case(NumericalMonoid([2, 5]), "b2", 20)
