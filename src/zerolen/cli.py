@@ -58,9 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    """The integers of a comma-separated list such as ``2,3``, spaces ignored."""
+    """The integers of a comma-separated list such as ``2,3`` or ``2, 3``."""
     try:
-        if values := tuple(int(t) for t in text.replace(" ", "").split(",") if t):
+        if values := tuple(int(t) for t in text.split(",") if t.strip()):
             return values
     except ValueError:
         pass

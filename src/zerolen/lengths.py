@@ -19,20 +19,23 @@ finished state is one integer addition and one OR.  Two rules keep it small:
   field is at most i (Knuth's column rule in "Dancing links").
 
 ``orbit_sweep`` runs the same recursion over all nonzero elements with one
-state per Aut(G)-orbit.  It is exact because an automorphism φ maps atoms to
-atoms, so L(φB) = L(B): the orbit of S + A is reached from the canonical
-representative R of S's orbit by pushing A∘φ onto R, and pushes that differ
-by an element of Stab(R) land in one orbit, so one atom per Stab(R)-orbit
-suffices.  A representative is a zero-sum multiset of the same size with the
-same lengths as every member of its orbit, so it is a valid witness with the
-same minimal length.  Each distinct child is canonicalized once, when its
-level is complete, and Stab(R) with its atom orbits is shared by every R
-whose equal multiplicities sit at the same positions.  Its budget counts
-canonical forms, not states: one per distinct child and one per stabilizer.
+state per Aut(G)-orbit; ``system`` takes it for the full nonzero support of
+every group whose automorphism tree fits.  It is exact because an
+automorphism φ maps atoms to atoms, so L(φB) = L(B): the orbit of S + A is
+reached from the canonical representative R of S's orbit by pushing A∘φ
+onto R, and pushes that differ by an element of Stab(R) land in one orbit,
+so one atom per Stab(R)-orbit suffices.  A representative is a zero-sum
+multiset of the same size with the same lengths as every member of its
+orbit, so it is a valid witness with the same minimal length.  Each distinct
+child is canonicalized once, when its level is complete, and Stab(R) with
+its atom orbits is shared by every R whose equal multiplicities sit at the
+same positions.  Its budget counts canonical forms, not states: one per
+distinct child and one per stabilizer.
 
-``LengthEngine.length_set`` runs the plain sweep capped by B's zero-free
-core and keeps only the top state's mask, memoized per core.  Zeros are
-re-added as a shift.  Length sets travel as sorted tuples.
+``LengthEngine.length_set`` runs the plain sweep with the multiplicities of
+B's zero-free core as caps and keeps only the top state's mask, memoized
+per core.  Zeros are re-added as a shift.  Length sets travel as sorted
+tuples.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def packed_sweep(
     caps: list[int],
     limit: int,
 ) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
-    """The layout and the levels 0..limit of the capped sweep over ``support``.
+    """The layout and the levels 0..limit of the sweep over ``support``.
 
     Level s maps each packed zero-sum multiset of size s, with multiplicity
     at most ``caps[i]`` of ``support[i]``, to its length bitmask.  Levels are
@@ -160,22 +163,16 @@ def packed_sweep(
         ]
         for i in range(max(len(support), 1))
     ]
-    # a state of size s has no field above s, so caps of at least limit
-    # never reject a push and the sweep skips the cap test
-    capped = any(c < limit for c in caps)
-    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit, capped)
+    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit)
     return layout, levels
 
 
-def _levels(by_pivot, bits, ceiling, guard, limit, capped):
+def _levels(by_pivot, bits, ceiling, guard, limit):
     """Yield each level once every push into it is done, then expand it.
 
     A pivot's push list pairs each of its atoms with its target level.  It
     is built from the pivot's length buckets, one target lookup per bucket,
-    when the first state of the level with that pivot needs it.  Without
-    ``capped`` every push is kept, by a loop without the cap test: the plain
-    bounded sweeps of C2^3, C3xC3, C2xC4, C2xC8 and C4xC4 take 1.2-1.5x
-    as long with the test.
+    when the first state of the level with that pivot needs it.
     """
     tick = NodeCounter().tick
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> level
@@ -198,22 +195,17 @@ def _levels(by_pivot, bits, ceiling, guard, limit, capped):
                     if alen > room:
                         break
                     pairs += zip(aks, repeat(pending.setdefault(s + alen, {})))
-            if capped:
-                for ak, tgt in pairs:
-                    nk = state + ak
-                    if (ceiling - nk) & guard == guard:  # every field within its cap
-                        tgt[nk] = tgt.get(nk, 0) | shifted
-            else:
-                for ak, tgt in pairs:
-                    nk = state + ak
+            for ak, tgt in pairs:
+                nk = state + ak
+                if (ceiling - nk) & guard == guard:  # every field within its cap
                     tgt[nk] = tgt.get(nk, 0) | shifted
 
 
 def orbit_sweep(
     group: FiniteAbelianGroup, limit: int
 ) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
-    """The levels 0..limit of the uncapped sweep over all nonzero elements,
-    one state per Aut(G)-orbit.
+    """The levels 0..limit of the sweep over all nonzero elements, one
+    state per Aut(G)-orbit.
 
     Level s maps the canonical form (``AutomorphismTree.canonical``) of
     each orbit of zero-sum multisets of size s to its length bitmask, packed
@@ -341,7 +333,7 @@ class LengthEngine:
         return tuple(v + zeros for v in mask_to_lengths(mask))
 
     def _sweep_mask(self, core: tuple) -> int:
-        """Length bitmask of the core by a sweep capped at its multiplicities.
+        """Length bitmask of the core by a sweep with its multiplicities as caps.
 
         The top level of that sweep holds one state, the core itself.  The
         budget covers this one sweep; ``nodes`` adds each level as it arrives,

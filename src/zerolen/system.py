@@ -1,7 +1,7 @@
 """Bounded systems of sets of lengths and the system-level invariants.
 
-The enumeration core is the packed forward sweep of ``lengths`` with every
-multiplicity capped at the length bound: a state is a zero-sum multiset, its
+The enumeration core is the packed forward sweep of ``lengths`` with the
+length bound as every multiplicity's cap: a state is a zero-sum multiset, its
 value the bitmask of factorization lengths.  Each reader consumes the sweep
 in one pass and keeps only what it needs.  Every result at this level is a
 bounded certificate: it speaks about all zero-sum sequences up to the stated
@@ -10,22 +10,14 @@ once, here: ``default_bound`` is the one table of certificate bounds (which
 ``verify``'s catalog targets sweep at), ``resolve_bound`` applies it and
 rejects a negative bound, and ``size_bound`` is the rule |B| <= k*D(G).
 
-Over the full nonzero support of a group with at least ``ORBIT_MIN_AUT``
-automorphisms the readers take the orbit sweep instead (``_sweep``): one
-canonical state per Aut(G)-orbit, which carries the lengths of its whole
-orbit.  The witnesses of ``bounded_system`` are then orbit representatives,
-with the same lengths and minimal length as the plain sweep's, and the node
-budget counts canonical forms.  ``delta_star`` needs every support, so it
-spreads each representative's distances over the Aut-orbit of its support.
-The orbit sweep pays for its canonical forms only where the orbits are
-large.  In paired timings of both sweeps at ``default_bound``, with the tree
-built beforehand (5 alternating pairs, 2 cores, Python 3.11), it was 2x
-slower at |Aut(G)| <= 8 (C5, C2xC4), 1.25x faster on C2xC8 (16), 2.4x on
-C3xC3 (48), 3.4x on C4xC4 (96), 2.7x on C2^3 (168), 4.3x on C2^2xC4 (192)
-and 16x on C2^4 (20,160; bound 12, where the tree build takes 0.12 s).
-The constant stays at 192 so that C2^3 and C3xC3, whose witnesses the CLI's
-pinned outputs print, keep the plain sweep and its witnesses, and C4xC4
-and C2xC8 stay with them.
+The full nonzero support is swept one canonical state per Aut(G)-orbit
+(``lengths.orbit_sweep``) whenever the group's automorphism tree fits, that
+is |Aut(G)| <= ``groups.MAX_TREE_AUTOMORPHISMS``; every other sweep is the
+plain one (``_sweep``).  The witnesses of ``bounded_system`` are then orbit
+representatives, with the same lengths and minimal length as the plain
+sweep's, and the node budget counts canonical forms.  ``delta_star`` needs
+every support, so it spreads each representative's distances over the
+Aut-orbit of its support.
 """
 
 from __future__ import annotations
@@ -47,12 +39,6 @@ from .lengths import (
     packed_sweep,
 )
 from .sequences import Sequence
-
-
-# The full nonzero support of a group with at least this many automorphisms
-# is swept one state per Aut(G)-orbit (``lengths.orbit_sweep``); the module
-# docstring gives the timings behind the value.
-ORBIT_MIN_AUT = 192
 
 
 def default_bound(group: FiniteAbelianGroup) -> int:
@@ -139,13 +125,13 @@ def bounded_system(
 def _sweep(group: FiniteAbelianGroup, support: tuple[Element, ...], bound: int):
     """(layout, levels, tree) of the sweep for ``support`` up to ``bound``.
 
-    The full nonzero support of a group with at least ``ORBIT_MIN_AUT``
-    automorphisms runs the orbit sweep, and ``tree`` is its automorphism
-    tree; everything else runs the plain sweep, with ``tree`` None.
+    The full nonzero support of a group whose automorphism tree fits runs
+    the orbit sweep, and ``tree`` is that tree; everything else runs the
+    plain sweep, with ``tree`` None.
     """
     if (
         support == group.nonzero_elements
-        and ORBIT_MIN_AUT <= group.automorphism_count <= MAX_TREE_AUTOMORPHISMS
+        and group.automorphism_count <= MAX_TREE_AUTOMORPHISMS
     ):
         return (*orbit_sweep(group, bound), group.automorphisms)
     return (*packed_sweep(group, support, [bound] * len(support), bound), None)
@@ -234,8 +220,6 @@ def rho_k(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
     """
     if k < 2:
         raise ValueError("rho_k needs k >= 2")
-    if group.order < 3:
-        return RhoKCertificate(k, k, True, "sweep", 0, None, None)
     need = size_bound(group, k)
     m = len(group.nonzero_elements)
     if group in COVERED_GROUPS and math.comb(need + m, m) // group.order > 600_000:

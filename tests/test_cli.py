@@ -72,8 +72,33 @@ def test_nm_commands(capsys):
     assert code == 0 and payload["lengths"] == [2, 3]
     code, payload = run_json(capsys, "nm", "invariants", "2,5")
     assert code == 0 and payload["elasticity"] == "5/2" and payload["min_delta"] == 3
+    # a space after a comma is allowed (a space between digits is an error)
+    assert run_json(capsys, "nm", "invariants", "2, 5") == (code, payload)
     code, payload = run_json(capsys, "nm", "verify-57", "2,5", "--case", "b2")
     assert code == 1 and payload["status"] == "hypothesis-not-met"
+
+
+def test_text_output(capsys):
+    code, out = run(capsys, "nm", "invariants", "2,3")
+    assert code == 0
+    assert out.splitlines() == [
+        "monoid: <2,3>",
+        "elasticity: 3/2",
+        "min_delta: 1",
+        "frobenius: 1",
+    ]
+    # outside --json a verification also reports its time and its nodes
+    code, out = run(capsys, "verify", "T46")
+    assert code == 0
+    seconds, nodes = out.splitlines()[-2:]
+    assert seconds.startswith("seconds: ") and nodes.startswith("nodes: ")
+
+
+def test_intersect_of_c2_cubed_fits_a_million_nodes(capsys, monkeypatch):
+    # C2^3 is swept to 4 * 9 = 36, one state per Aut(G)-orbit
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "1000000")
+    assert main(["intersect", "2x2x2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_errors(capsys):
@@ -117,6 +142,8 @@ _USAGE_ERRORS = [
     (["nm", "verify-56", "2,3;2,3", "--L", "2,x"], "--L"),
     (["nm", "lengths", "2,x", "7"], "gens"),
     (["nm", "verify-56", ";"], "gens"),
+    (["nm", "invariants", "2 3"], "gens"),
+    (["family", "match", "5", "--set", "2 5"], "--set"),
 ]
 
 

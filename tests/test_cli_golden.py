@@ -16,29 +16,35 @@ import pytest
 from zerolen.cli import main
 
 GOLDEN = [
-    ("rho-k 5 2", "a7abb92cfb47fd37"),
-    ("rho-k 5 3", "50db8825d9673c68"),
-    ("rho-k 2x4 2", "850ad5cd35db9fd6"),
-    ("rho-k 2x4 3", "a847c3056b6bff26"),
-    ("rho-k 3x3 2", "fcd902fdc65983b8"),
-    ("rho-k 3x3 3", "e268144b276f5f17"),
+    ("rho-k 5 2", "3f1b7f6c4a4a7890"),
+    ("rho-k 5 3", "938beec2714d637e"),
+    ("rho-k 2x4 2", "74e6c36dc2c8df58"),
+    ("rho-k 2x4 3", "f621e2a068748276"),
+    ("rho-k 3x3 2", "48fb36775fc5a719"),
+    ("rho-k 3x3 3", "16d2d76277d5e5df"),
     ("rho-k 2x2x2x2 3", "a8721178f90a4cca"),
     ("rho-k 2x2x2x2 2", "132d92f02908a284"),
     ("system 3 --emit-witness", "97ec7b0694793afa"),
     ("system 3 --emit-witness --with-zero", "829f1da556330097"),
     ("system 2x2 --emit-witness", "6bdd2a3db3fc02eb"),
     ("system 2x2 --emit-witness --with-zero", "460a2d48b7cd6910"),
-    ("system 4 --emit-witness", "1fdde77f188b8c0c"),
+    ("system 4 --emit-witness", "120d2da97a068d70"),
     ("system 4 --emit-witness --with-zero", "df4ee6c11ee5807d"),
-    ("system 2x2x2 --emit-witness", "b3921f4d78a7b0ba"),
-    ("system 2x2x2 --emit-witness --with-zero", "3d89cb1231f416b8"),
-    ("system 3x3 --emit-witness", "a268ef3520a27772"),
-    ("system 3x3 --emit-witness --with-zero", "b137b6e913a0683e"),
-    ("system 5 --emit-witness", "cac799967ffeb2d0"),
-    ("system 5 --emit-witness --with-zero", "5507edba448075b3"),
-    ("system 2x4 --emit-witness", "38dfb944ea9cc4cd"),
-    ("system 2x4 --emit-witness --with-zero", "8e37c11ac68c5a38"),
+    ("system 2x2x2 --emit-witness", "1168781adb52b49d"),
+    ("system 2x2x2 --emit-witness --with-zero", "a59cbdc8cb60d224"),
+    ("system 3x3 --emit-witness", "cee23324a05b094a"),
+    ("system 3x3 --emit-witness --with-zero", "a0f738960b96fdd6"),
+    ("system 5 --emit-witness", "15635b8c0afb9063"),
+    ("system 5 --emit-witness --with-zero", "616d4edbcae07d0e"),
+    ("system 2x4 --emit-witness", "6b5bc1473ca24706"),
+    ("system 2x4 --emit-witness --with-zero", "de49321d0da18588"),
     ("system 2x2x2x2 --max-len 10 --emit-witness", "b0f9a9b0cca6feeb"),
+    ("delta-star 2x2x2", "826a3689c4d47465"),
+    ("delta-star 3x3", "6e138b7e601692dc"),
+    ("delta-star 5", "206badc1a0968d87"),
+    ("delta-star 2x4", "34b87c3b63056f1a"),
+    ("delta-star 2x2x2x2 --max-len 10", "8dd9de54cf2d8bb9"),
+    ("atoms 2x4 --classify --full", "d185331d5b09bd11"),
     ("compare 4 2x2x2", "1a03f5a4e28073db"),
     ("intersect 3 5 --max-value 30", "a78ce58d457c7a05"),
     ("family list", "a66e55a68ca9c469"),

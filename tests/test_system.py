@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import zerolen.system
 from zerolen import (
     Sequence,
     bounded_system,
@@ -14,12 +15,14 @@ from zerolen import (
     observed_delta,
     rho_k,
 )
+from zerolen.groups import MAX_TREE_AUTOMORPHISMS
 from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
 from zerolen.system import (
     _delta_star_from,
     _rho_k_by_witness,
     _sweep,
     _system_from,
+    size_bound,
 )
 
 from oracles import naive_lengths, naive_orbit_levels
@@ -126,6 +129,17 @@ def test_rho_k_certificates():
         rho_k(g5, 1)
 
 
+@pytest.mark.parametrize("factors", [[], [2]])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rho_k_of_the_groups_of_order_below_three(factors, k):
+    # every L(B) is a singleton there, so the sweep finds no set above k
+    G = make_group(factors)
+    r = rho_k(G, k)
+    assert (r.value, r.exact, r.method) == (k, True, "sweep")
+    assert r.witness is None and r.witness_lengths is None
+    assert r.bound == size_bound(G, k)
+
+
 _WITNESS_ROUTE_GROUPS = ([3], [2, 2], [4], [2, 2, 2], [5], [2, 4], [3, 3])
 
 
@@ -211,19 +225,33 @@ def test_node_budget_cap_is_honored(monkeypatch):
         delta_star(G, 12)
 
 
-def test_orbit_sweep_selection():
-    orbit = make_group([2, 2, 2, 2])
-    assert _sweep(orbit, orbit.nonzero_elements, 4)[2] is orbit.automorphisms
-    # a proper subset, and groups with fewer automorphisms, sweep plainly
-    assert _sweep(orbit, orbit.nonzero_elements[1:], 4)[2] is None
-    for factors in ([5], [2, 4], [3, 3], [2, 2, 2]):
+def test_orbit_sweep_selection(monkeypatch):
+    # the full support takes the orbit sweep whenever the tree fits
+    for factors in ([3], [2, 2], [5], [2, 4], [3, 3], [2, 2, 2], [2, 2, 2, 2]):
         G = make_group(factors)
-        assert _sweep(G, G.nonzero_elements, 4)[2] is None
+        assert _sweep(G, G.nonzero_elements, 4)[2] is G.automorphisms
+    # a proper subset of C2^4 sweeps plainly
+    assert _sweep(G, G.nonzero_elements[1:], 4)[2] is None
+    # so does C2^5, whose tree is refused and never built; the plain sweep is
+    # stubbed, since C2^5's atom catalog alone takes seconds
+    monkeypatch.setattr(zerolen.system, "packed_sweep", lambda *args: (None, None))
+    G = make_group([2, 2, 2, 2, 2])
+    assert G.automorphism_count > MAX_TREE_AUTOMORPHISMS
+    assert _sweep(G, G.nonzero_elements, 4)[2] is None
+    assert "automorphisms" not in G.__dict__
 
 
 @pytest.mark.parametrize(
     "factors, bound",
-    [([2, 2, 2, 2], 8), ([2, 2, 2, 2], 10), ([2, 2, 2], 16), ([3, 3], 16), ([2, 2, 4], 8)],
+    [
+        ([2, 2, 2, 2], 8),
+        ([2, 2, 2, 2], 10),
+        ([2, 2, 2], 16),
+        ([3, 3], 16),
+        ([2, 2, 4], 8),
+        ([5], 20),
+        ([2, 4], 16),
+    ],
 )
 def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     # the plain sweep is the orbit sweep's oracle
