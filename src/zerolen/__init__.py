@@ -5,7 +5,6 @@ from .atoms import (
     AtomCatalog,
     classify_c2c4,
     enumerate_atoms,
-    extract_half_factorial_subset,
     is_half_factorial,
 )
 from .budget import ResourceLimitError
@@ -14,13 +13,11 @@ from .families import (
     FamilyMatch,
     c24_interval_witness,
     family_branches,
-    family_member,
     family_members_up_to,
     intersection_witness,
     interval_criterion_c24,
     match_family,
     presentation_equivalence,
-    witness_sequence,
 )
 from .groups import (
     DavenportBound,
@@ -82,9 +79,7 @@ __all__ = [
     "delta_star",
     "engine_for",
     "enumerate_atoms",
-    "extract_half_factorial_subset",
     "family_branches",
-    "family_member",
     "family_members_up_to",
     "intersection_witness",
     "interval_criterion_c24",
@@ -102,6 +97,5 @@ __all__ = [
     "run_verification",
     "verify_elasticity_gap",
     "verify_thm57_case",
-    "witness_sequence",
     "y_L_bound",
 ]

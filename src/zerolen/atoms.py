@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .budget import NodeCounter
@@ -33,14 +32,12 @@ class AtomCatalog:
         """Max atom length (0 for an empty catalog)."""
         return max((a.length for a in self.atoms), default=0)
 
-    def by_length(self) -> dict[int, tuple[Sequence, ...]]:
-        out: dict[int, list[Sequence]] = {}
-        for a in self.atoms:
-            out.setdefault(a.length, []).append(a)
-        return {k: tuple(v) for k, v in sorted(out.items())}
-
     def counts(self) -> dict[int, int]:
-        return {k: len(v) for k, v in self.by_length().items()}
+        """{length: number of atoms of that length}, by ascending length."""
+        out: dict[int, int] = {}
+        for a in self.atoms:
+            out[a.length] = out.get(a.length, 0) + 1
+        return out
 
     def __iter__(self):
         return iter(self.atoms)
@@ -129,24 +126,6 @@ def is_half_factorial(
     """Cross-number criterion: every atom over the subset has cross number 1."""
     one = Fraction(1)
     return all(a.cross_number() == one for a in enumerate_atoms(group, subset))
-
-
-def extract_half_factorial_subset(
-    group: FiniteAbelianGroup, subset: Iterable[Element]
-) -> tuple[Element, ...]:
-    """Smallest half-factorial subset supporting a nontrivial zero-sum sequence.
-
-    Searches singletons first, then increasing subset sizes; for finite groups
-    a singleton always qualifies, so this cannot fail on nonempty input.
-    """
-    elems = group.canonical_subset(subset)
-    if not elems:
-        raise ValueError("subset must be nonempty")
-    for size in range(1, len(elems) + 1):
-        for combo in combinations(elems, size):
-            if enumerate_atoms(group, combo).atoms and is_half_factorial(group, combo):
-                return combo
-    raise AssertionError("unreachable: a singleton is always half-factorial")
 
 
 # -- classification over C2 + C4 --------------------------------------

@@ -19,10 +19,11 @@ import sys
 from .atoms import classify_c2c4, enumerate_atoms
 from .budget import ResourceLimitError
 from .families import (
+    INTERSECTION,
     REGISTRY,
-    family_member,
+    FamilyBranch,
+    intersection_witness,
     match_family,
-    witness_sequence,
 )
 from .groups import davenport_lower_bound, parse_group
 from .lengths import delta, engine_for, rho
@@ -198,21 +199,45 @@ def cmd_family_list(args) -> tuple[dict, int]:
     return {"families": rows}, 0
 
 
-def _family_id(args) -> tuple[str, str | None]:
-    """(family, branch) of an ID such as ``T46:L6``; no ``:`` means no branch."""
-    fam, sep, branch = args.id.partition(":")
-    return fam, branch if sep else None
+def _family_branches(args) -> tuple[str, str | None, list[FamilyBranch]]:
+    """(family, branch, branches) of an ID such as ``T46:L6``; no ``:``, no branch."""
+    family, sep, branch = args.id.partition(":")
+    branch = branch if sep else None
+    return family, branch, [
+        br for br in REGISTRY if br.family == family and branch in (None, br.branch)
+    ]
 
 
 def cmd_family_member(args) -> tuple[dict, int]:
-    member = family_member(*_family_id(args), y=args.y, k=args.k)
-    return {"id": args.id, "member": sorted(member)}, 0
+    family, branch, found = _family_branches(args)
+    if not found:
+        raise ValueError(f"unknown family {family!r} (branch {branch!r})")
+    y, k = args.y, args.k
+    for br in found:
+        member = br.try_member(y, k)
+        if member is not None:
+            return {"id": args.id, "member": sorted(member)}, 0
+    raise ValueError(
+        f"(y={y}, k={k}) outside the domain of {family}: "
+        + "; ".join(br.formula for br in found)
+    )
 
 
 def cmd_family_witness(args) -> tuple[dict, int]:
     group = parse_group(args.group) if args.group else None
-    wit = witness_sequence(*_family_id(args), y=args.y, k=args.k, group=group)
-    return {"id": args.id, "witness": wit.literal()}, 0
+    family, branch, found = _family_branches(args)
+    y, k = args.y, args.k
+    if family == INTERSECTION.family:
+        if group is None:
+            raise ValueError("the intersection family needs an explicit group")
+        wit = intersection_witness(group, y, k)
+        return {"id": args.id, "witness": wit.literal()}, 0
+    for br in found:
+        if group in (None, br.group) and br.try_member(y, k) is not None:
+            return {"id": args.id, "witness": br.witness(y, k).literal()}, 0
+    raise ValueError(
+        f"no witness for family {family!r} branch {branch!r} at (y={y}, k={k})"
+    )
 
 
 def cmd_family_match(args) -> tuple[dict, int]:

@@ -668,45 +668,6 @@ def family_branches(group: FiniteAbelianGroup | None = None) -> tuple[FamilyBran
     return found
 
 
-def _branches_of(family: str, branch: str | None) -> list[FamilyBranch]:
-    return [br for br in REGISTRY if br.family == family and branch in (None, br.branch)]
-
-
-def family_member(
-    family: str, branch: str | None = None, y: int = 0, k: int = 0
-) -> frozenset[int]:
-    found = _branches_of(family, branch)
-    if not found:
-        raise ValueError(f"unknown family {family!r} (branch {branch!r})")
-    for br in found:
-        m = br.try_member(y, k)
-        if m is not None:
-            return m
-    raise ValueError(
-        f"(y={y}, k={k}) outside the domain of {family}: "
-        + "; ".join(br.formula for br in found)
-    )
-
-
-def witness_sequence(
-    family: str,
-    branch: str | None = None,
-    y: int = 0,
-    k: int = 0,
-    group: FiniteAbelianGroup | None = None,
-) -> Sequence:
-    if family == "T36-INTERSECT":
-        if group is None:
-            raise ValueError("the intersection family needs an explicit group")
-        return intersection_witness(group, y, k)
-    for br in _branches_of(family, branch):
-        if group in (None, br.group) and br.try_member(y, k) is not None:
-            return br.witness(y, k)
-    raise ValueError(
-        f"no witness for family {family!r} branch {branch!r} at (y={y}, k={k})"
-    )
-
-
 def match_family(group: FiniteAbelianGroup, lengths: Iterable[int]) -> list[FamilyMatch]:
     """All (family, branch, parameters) whose member equals the given set."""
     out: list[FamilyMatch] = []

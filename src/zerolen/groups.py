@@ -123,9 +123,6 @@ class FiniteAbelianGroup:
     def index(self, g: Element) -> int:
         return sum(c * s for c, s in zip(g, self._strides))
 
-    def element_at(self, i: int) -> Element:
-        return self.elements[i]
-
     def validate(self, g: Element) -> Element:
         if len(g) != self.rank or any(
             not (0 <= c < n) for c, n in zip(g, self.invariant_factors)

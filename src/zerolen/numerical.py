@@ -1,4 +1,4 @@
-"""Numerical monoids and finite products with a free factor.
+"""Numerical monoids and their finite products.
 
 A numerical monoid is the additive submonoid of the nonnegative integers
 generated by a minimal system n1 < ... < nt with gcd 1 (a common gcd d > 1 is
@@ -138,9 +138,10 @@ class NumericalMonoid:
         return Fraction(self.generators[-1], self.generators[0])
 
     def min_delta(self) -> int:
-        """gcd of the successive generator differences; 0 when t = 1."""
-        gens = self.generators
-        return math.gcd(*(b - a for a, b in zip(gens, gens[1:])))
+        """gcd of the successive differences of the core generators n_i / d,
+        whose lengths these are; 0 when t = 1."""
+        core = self._core
+        return math.gcd(*(b - a for a, b in zip(core, core[1:])))
 
     def is_half_factorial(self) -> bool:
         return self._core == (1,)
@@ -256,25 +257,17 @@ def verify_elasticity_gap(H: NumericalMonoid, bound: int) -> GapReport:
 
 
 class ProductMonoid:
-    """F(P) x D1 x ... x Dn: a free factor (count only) times numerical monoids."""
+    """D1 x ... x Dn: a product of numerical monoids."""
 
-    def __init__(self, factors: Seq[NumericalMonoid], free_rank: int = 0):
-        if free_rank < 0:
-            raise ValueError("free rank must be >= 0")
+    def __init__(self, factors: Seq[NumericalMonoid]):
         if not factors:
             raise ValueError("products need at least one numerical monoid factor")
         if len(factors) > 3:
             raise ValueError("products are limited to at most 3 factors")
         self.factors = tuple(factors)
-        self.free_rank = free_rank
 
-    def length_set(self, element: tuple[int, Seq[int]]) -> Lengths:
-        """element = (free part count, per-factor values); componentwise sums."""
-        y, comps = element
-        if y < 0:
-            raise ValueError("free part count must be >= 0")
-        if self.free_rank == 0 and y > 0:
-            raise ValueError("monoid has no free factor")
+    def length_set(self, comps: Seq[int]) -> Lengths:
+        """L(a1) + ... + L(an) for the element (a1, ..., an), one value per factor."""
         if len(comps) != len(self.factors):
             raise ValueError("one value per factor required")
         masks = []
@@ -283,7 +276,7 @@ class ProductMonoid:
             if mask == 0:
                 raise ValueError(f"{a} is not in {H}")
             masks.append(mask)
-        return tuple(v + y for v in mask_to_lengths(_sumset(masks)))
+        return mask_to_lengths(_sumset(masks))
 
 
 @dataclass(frozen=True)
@@ -357,8 +350,6 @@ def y_L_bound(
     ``_realizing_elements``); the violations come out in the lexicographic
     order of the elements.
     """
-    if D.free_rank:
-        raise ValueError("the non-realizability bound assumes a trivial free part")
     check_bound(search_bound)
     if window < 0:
         raise ValueError("window must be >= 0")

@@ -130,23 +130,6 @@ class Sequence:
 
     # -- zero-sum structure -------------------------------------------
 
-    def subsequence_sums(self) -> frozenset[Element]:
-        """All sums of nonempty sub-multisets, by iterative sumset growth.
-
-        A term g is added min(m, ord g) times: ord g copies already give every
-        multiple of g, so further copies add no sum.
-        """
-        add = self.group.add
-        sums: set[Element] = set()
-        for g, m in self.items:
-            for _ in range(min(m, self.group.order_of(g))):
-                sums |= {add(s, g) for s in sums}
-                sums.add(g)
-        return frozenset(sums)
-
-    def is_zero_sum_free(self) -> bool:
-        return self.group.zero not in self.subsequence_sums()
-
     def is_atom(self) -> bool:
         """True iff this is a minimal zero-sum sequence.
 
@@ -237,11 +220,11 @@ def parse_sequence(group: FiniteAbelianGroup, text: str) -> Sequence:
             coords = (int(m.group(2)),)
         if coords == () and group.rank > 0:
             raise ValueError(f"empty coordinates in term {raw!r}")
-        coords = tuple(c % n for c, n in zip(coords, group.invariant_factors))
         if len(coords) != group.rank:
             raise ValueError(
                 f"term {raw!r} has {len(coords)} coordinates, group rank is {group.rank}"
             )
+        coords = tuple(c % n for c, n in zip(coords, group.invariant_factors))
         mult = int(m.group(3)) if m.group(3) else 1
         pairs.append((coords, mult))
     return Sequence.build(group, pairs)

@@ -65,8 +65,10 @@ def resolve_bound(group: FiniteAbelianGroup, bound: int | None) -> int:
 
 
 def size_bound(group: FiniteAbelianGroup, k: int) -> int:
-    """k * D(G): k in L(B) makes B a product of k atoms, each of <= D(G) terms."""
-    return k * enumerate_atoms(group).davenport
+    """k * D(G): k in L(B) makes B a product of k atoms, each of <= D(G) terms.
+
+    D(C1) = 1, its atom 0, though C1 has no nonzero atom."""
+    return k * max(enumerate_atoms(group).davenport, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,6 @@ def _sum_of(group, items, combo):
     return acc
 
 
-def naive_subsums(group: FiniteAbelianGroup, seq: Sequence) -> frozenset:
-    out = set()
-    for combo in _submultisets(seq.items):
-        if any(combo):
-            out.add(_sum_of(group, seq.items, combo))
-    return frozenset(out)
-
-
 def naive_is_atom(group: FiniteAbelianGroup, seq: Sequence) -> bool:
     n = seq.length
     if n == 0 or seq.sigma != group.zero:

@@ -4,7 +4,6 @@ from zerolen import (
     classify_c2c4,
     davenport_lower_bound,
     enumerate_atoms,
-    extract_half_factorial_subset,
     is_half_factorial,
     make_group,
     parse_sequence,
@@ -118,15 +117,6 @@ def test_half_factorial_cross_check_by_enumeration():
         if s.length and s.is_zero_sum and len(e5.length_set(s)) > 1:
             witnessed = True
     assert witnessed
-
-
-def test_extract_half_factorial_subset():
-    g5 = make_group([5])
-    sub = extract_half_factorial_subset(g5, [(1,), (2,)])
-    assert sub == ((1,),)
-    g24 = make_group([2, 4])
-    sub24 = extract_half_factorial_subset(g24, g24.nonzero_elements)
-    assert len(sub24) == 1 and is_half_factorial(g24, sub24)
 
 
 def test_max_atoms_pair_with_negation_realizes_davenport_span():

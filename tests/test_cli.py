@@ -55,6 +55,41 @@ def test_family_match_and_member(capsys):
     assert code == 0 and payload["member"] == [3, 5, 6]
 
 
+def test_family_member_examples(capsys):
+    for family_id, k, member in (
+        ("T46:L6", 0, [3, 5, 6]),
+        ("T46:L2", 0, [2, 4]),
+        ("P33-C3C22", 1, [2, 3]),
+        ("T48:L2", 1, [2, 5]),
+        ("T47:L4", 1, [2, 4, 5]),
+    ):
+        code, payload = run_json(capsys, "family", "member", family_id, "--k", str(k))
+        assert code == 0 and payload["member"] == member, family_id
+    for argv, error in (
+        (["T46:L5", "--k", "3"], "error: (y=0, k=3) outside the domain of T46: "),
+        (["NOPE"], "error: unknown family 'NOPE' (branch None)\n"),
+    ):  # an excluded parameter, an unknown family
+        assert main(["family", "member", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+
+
+def test_family_witness_examples(capsys):
+    # each witness, read back by the lengths command, realizes its member
+    for family_id, group, lengths in (
+        ("T46:L4", "5", [2, 5]),
+        ("T47:L4", "2x4", [2, 4, 5]),
+        ("T48:L2", "2x2x2x2", [2, 5]),
+    ):
+        code, payload = run_json(capsys, "family", "witness", family_id, "--k", "1")
+        assert code == 0
+        code, payload = run_json(capsys, "lengths", group, payload["witness"])
+        assert code == 0 and payload["lengths"] == lengths, family_id
+    assert main(["family", "witness", "NOPE"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no witness for family 'NOPE' branch None at (y=0, k=0)\n"
+
+
 def test_family_match_failure_exit_code(capsys):
     code, payload = run_json(capsys, "family", "match", "2x4", "--set", "2,5")
     assert code == 1 and payload["matches"] == []
@@ -144,6 +179,8 @@ _USAGE_ERRORS = [
     (["nm", "verify-56", ";"], "gens"),
     (["nm", "invariants", "2 3"], "gens"),
     (["family", "match", "5", "--set", "2 5"], "--set"),
+    (["lengths", "5", "(1,2,3)^5"], None),  # more coordinates than the rank
+    (["atoms", "5", "--subset", "(1,9)"], None),
 ]
 
 

@@ -8,28 +8,14 @@ from zerolen import (
     c24_interval_witness,
     engine_for,
     family_branches,
-    family_member,
     intersection_witness,
     interval_criterion_c24,
     is_aamp,
     make_group,
     match_family,
     presentation_equivalence,
-    witness_sequence,
 )
 from zerolen.families import family_members_up_to
-
-
-def test_member_examples():
-    assert family_member("T46", "L6", y=0, k=0) == {3, 5, 6}
-    assert family_member("T46", "L2", y=0, k=0) == {2, 4}
-    assert family_member("P33-C3C22", y=0, k=1) == {2, 3}
-    assert family_member("T48", "L2", y=0, k=1) == {2, 5}
-    assert family_member("T47", "L4", y=0, k=1) == {2, 4, 5}
-    with pytest.raises(ValueError):
-        family_member("T46", "L5", y=0, k=3)  # excluded parameter
-    with pytest.raises(ValueError):
-        family_member("NOPE")
 
 
 def test_match_examples():
@@ -59,16 +45,6 @@ def test_c24_interval_witnesses_small():
         assert eng.length_set(wit) == tuple(range(l1, l2 + 1))
     with pytest.raises(ValueError):
         c24_interval_witness(2, 5)
-
-
-def test_witness_examples():
-    g5 = make_group([5])
-    wit = witness_sequence("T46", "L4", y=0, k=1)
-    assert engine_for(g5).length_set(wit) == (2, 5)
-    w2 = witness_sequence("T47", "L4", y=0, k=1)
-    assert engine_for(make_group([2, 4])).length_set(w2) == (2, 4, 5)
-    w3 = witness_sequence("T48", "L2", y=0, k=1)
-    assert engine_for(make_group([2, 2, 2, 2])).length_set(w3) == (2, 5)
 
 
 def test_intersection_witnesses_across_groups():

@@ -90,6 +90,9 @@ def test_formula_invariants():
     assert NumericalMonoid([2, 5]).min_delta() == 3
     assert NumericalMonoid([3, 4, 5]).elasticity() == Fraction(5, 3)
     assert NumericalMonoid([3, 4, 5]).min_delta() == 1
+    # a common gcd leaves every length, so every distance, unchanged
+    assert NumericalMonoid([4, 6]).min_delta() == 1
+    assert NumericalMonoid([4, 10]).min_delta() == 3
 
 
 @pytest.mark.parametrize("gens", [[2, 3], [2, 5], [3, 4, 5]])
@@ -143,14 +146,13 @@ def test_beta_gap_and_sweep():
 def test_product_length_sets():
     H = NumericalMonoid([2, 3])
     D = ProductMonoid([H, H])
-    assert D.length_set((0, [6, 6])) == (4, 5, 6)
-    Dfree = ProductMonoid([H], free_rank=1)
-    assert Dfree.length_set((3, [6])) == (5, 6)
-    assert D.length_set((0, [2, 3])) == (2,)
+    assert D.length_set([6, 6]) == (4, 5, 6)
+    assert ProductMonoid([H]).length_set([6]) == (2, 3)
+    assert D.length_set([2, 3]) == (2,)
     with pytest.raises(ValueError):
-        D.length_set((1, [6, 6]))  # no free factor
+        D.length_set([6])  # one value per factor
     with pytest.raises(ValueError):
-        D.length_set((0, [1, 6]))  # 1 not a member
+        D.length_set([1, 6])  # 1 not a member
 
 
 def test_y_l_bound():
@@ -180,6 +182,7 @@ def test_numerical_checks_reject_vacuous_inputs(call):
 
 def test_thm57_cases():
     assert verify_thm57_case(NumericalMonoid([2, 3]), "b2", 20).status == "pass"
+    assert verify_thm57_case(NumericalMonoid([4, 6]), "b2", 20).status == "pass"
     rep = verify_thm57_case(NumericalMonoid([2, 5]), "b2", 20)
     assert rep.status == "hypothesis-not-met"
     assert any("3" in h for h in rep.hypothesis_failures)

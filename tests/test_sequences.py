@@ -5,7 +5,7 @@ import pytest
 
 from zerolen import Sequence, make_group, parse_sequence
 
-from oracles import naive_is_atom, naive_subsums
+from oracles import naive_is_atom
 
 
 def seq(group, text):
@@ -19,15 +19,6 @@ def test_sigma_examples():
     g24 = make_group([2, 4])
     # e * g^3 * (e+g) sums to zero
     assert seq(g24, "(1,0)*(0,1)^3*(1,1)").sigma == (0, 0)
-
-
-def test_subsequence_sums():
-    g5 = make_group([5])
-    assert seq(g5, "(1)").subsequence_sums() == {(1,)}
-    assert seq(g5, "(1)*(4)").subsequence_sums() == {(1,), (4,), (0,)}
-    assert seq(g5, "(1)^2*(2)").is_zero_sum_free()
-    # copies past ord(g) add no sum, so a long power is no special case
-    assert seq(g5, "(1)^30").subsequence_sums() == set(g5.elements)
 
 
 def test_is_atom_examples():
@@ -87,24 +78,6 @@ def test_atom_negation_closure():
         assert s.is_atom() == s.negate().is_atom()
 
 
-def test_zero_sum_free_iff_no_zero_subsum():
-    G = make_group([2, 4])
-    elems = G.nonzero_elements[:4]
-    for combo in product(range(3), repeat=4):
-        s = Sequence.build(G, list(zip(elems, combo)))
-        if 0 < s.length <= 8:
-            assert s.is_zero_sum_free() == ((0, 0) not in naive_subsums(G, s))
-
-
-def test_subsequence_sums_match_oracle_past_the_order():
-    # multiplicities up to 5 on elements of order 2 and 4
-    G = make_group([2, 4])
-    elems = ((1, 0), (0, 1), (1, 1))
-    for combo in product(range(6), repeat=3):
-        s = Sequence.build(G, list(zip(elems, combo)))
-        assert s.subsequence_sums() == naive_subsums(G, s), combo
-
-
 def test_is_atom_matches_oracle_on_small_sequences():
     G = make_group([2, 4])
     elems = G.nonzero_elements[:4]
@@ -120,3 +93,14 @@ def test_literal_roundtrip():
     assert parse_sequence(g24, "()") == Sequence.empty(g24)
     g5 = make_group([5])
     assert parse_sequence(g5, "1^5*4^5") == seq(g5, "(1)^5*(4)^5")
+
+
+@pytest.mark.parametrize(
+    "factors, text",
+    [([5], "(1,2,3)^5"), ([5], "(1,9)"), ([2, 4], "(1,0,7)^2"), ([2, 4], "(1)"),
+     ([], "(1)")],
+    ids=str,
+)
+def test_parse_rejects_a_term_whose_coordinates_miss_the_rank(factors, text):
+    with pytest.raises(ValueError, match="coordinates, group rank is"):
+        parse_sequence(make_group(factors), text)

@@ -22,7 +22,6 @@ from zerolen.system import (
     _rho_k_by_witness,
     _sweep,
     _system_from,
-    size_bound,
 )
 
 from oracles import naive_lengths, naive_orbit_levels
@@ -137,7 +136,7 @@ def test_rho_k_of_the_groups_of_order_below_three(factors, k):
     r = rho_k(G, k)
     assert (r.value, r.exact, r.method) == (k, True, "sweep")
     assert r.witness is None and r.witness_lengths is None
-    assert r.bound == size_bound(G, k)
+    assert r.bound == k * G.order  # k * D(G), and D(G) = |G| on these groups
 
 
 _WITNESS_ROUTE_GROUPS = ([3], [2, 2], [4], [2, 2, 2], [5], [2, 4], [3, 3])
