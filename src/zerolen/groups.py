@@ -246,11 +246,11 @@ class AutomorphismTree:
                 f"more than the tree holds ({MAX_TREE_AUTOMORPHISMS})"
             )
         factors = group.invariant_factors[::-1]
-        elems = group.elements
-        index = {g: i for i, g in enumerate(elems)}
-        add = [[index[group.add(a, b)] for b in elems] for a in elems]
-        self.count = group.automorphism_count
-        self.size = len(elems) - 1
+        # slot p is position p, and the last slot, size, holds the zero element
+        elems = group.elements[1:] + group.elements[:1]
+        slot = {g: p for p, g in enumerate(elems)}
+        add = [[slot[group.add(a, b)] for b in elems] for a in elems]
+        self.size = zero = len(elems) - 1
         # a block of one position reads an int, a longer one a tuple
         self._lows = []
         span = 1
@@ -262,36 +262,37 @@ class AutomorphismTree:
         candidates = {}
         for n in set(factors):
             candidates[n] = []
-            for h in range(1, len(elems)):
+            for h in range(zero):
                 multiples = [h]
-                while multiples[-1] and len(multiples) < n - 1:
+                while multiples[-1] != zero and len(multiples) < n - 1:
                     multiples.append(add[multiples[-1]][h])
-                if multiples[-1] and not add[multiples[-1]][h]:
+                if multiples[-1] != zero and add[multiples[-1]][h] == zero:
                     candidates[n].append(multiples)
-        position = [i - 1 for i in range(len(elems))]  # element index -> position
         leaves = 0
 
-        def grow(depth: int, img: list[int]) -> list:
+        def grow(depth: int, img: tuple[int, ...]) -> list:
+            # img: the slots of the span chosen so far, zero first
             nonlocal leaves
             taken, kids = set(img), []
             for multiples in candidates[factors[depth]]:
                 if not taken.isdisjoint(multiples):
                     continue
-                block = [add[c][y] for c in multiples for y in img]
-                full = img + block
+                block = tuple([add[c][y] for c in multiples for y in img])
                 if depth + 1 == len(factors):
-                    sub = tuple(map(position.__getitem__, full[1:]))
+                    sub = img[1:] + block
                     leaves += 1
                 else:
-                    sub = grow(depth + 1, full)
+                    sub = grow(depth + 1, img + block)
                     if not sub:  # no automorphism extends this choice
                         continue
-                kids.append((itemgetter(*map(position.__getitem__, block)), sub))
+                kids.append((itemgetter(*block), sub))
             return kids
 
-        self._root = grow(0, [0]) if factors else ()
-        if factors and leaves != self.count:
-            raise AssertionError(f"Aut({group.label}): {leaves} != {self.count}")
+        self._root = grow(0, (zero,)) if factors else ()
+        if factors and leaves != group.automorphism_count:
+            raise AssertionError(
+                f"Aut({group.label}): {leaves} != {group.automorphism_count}"
+            )
 
     def canonical(self, v) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
         """The largest image v∘φ, and every φ that reaches it.
@@ -312,64 +313,3 @@ class AutomorphismTree:
                         keep.append(sub)
             frontier = keep
         return tuple(map(v.__getitem__, frontier[0])), frontier
-
-    @cached_property
-    def _generator_tables(self) -> list[list[list[int]]]:
-        """A generating set of Aut(G), as byte tables acting on position bitmasks.
-
-        Leaves are taken in a fixed scattered order; one joins the set when
-        it lies outside the group the set generates so far, until that
-        group is all of Aut(G).
-        """
-        perms = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, tuple):
-                perms.append(node)
-            else:
-                stack.extend(sub for _, sub in node)
-        gens: list[tuple[int, ...]] = []
-        closure = {tuple(range(self.size))}
-        for k in range(1, len(perms) + 1):
-            if len(closure) == self.count:
-                break
-            q = perms[k * 7919 % len(perms)]
-            if q in closure:
-                continue
-            gens.append(q)
-            closure = set(gens)
-            todo = list(gens)
-            while todo:
-                p = todo.pop()
-                for g in gens:
-                    pg = tuple(map(p.__getitem__, g))
-                    if pg not in closure:
-                        closure.add(pg)
-                        todo.append(pg)
-        chunks = [range(c, min(c + 8, self.size)) for c in range(0, self.size, 8)]
-        return [
-            [
-                [
-                    sum(1 << g[p] for p in ps if byte >> p - ps[0] & 1)
-                    for byte in range(256)
-                ]
-                for ps in chunks
-            ]
-            for g in gens
-        ]
-
-    def support_orbit(self, mask: int) -> set[int]:
-        """The Aut(G)-orbit of a set of positions, given as a bitmask."""
-        tables = self._generator_tables
-        orbit, todo = {mask}, [mask]
-        while todo:
-            s = todo.pop()
-            for chunks in tables:
-                t = 0
-                for c, table in enumerate(chunks):
-                    t |= table[s >> 8 * c & 255]
-                if t not in orbit:
-                    orbit.add(t)
-                    todo.append(t)
-        return orbit

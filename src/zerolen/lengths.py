@@ -118,13 +118,10 @@ class PackedLayout:
         """The support of a state, as one guard bit per nonzero field."""
         return (state + self._fill) & self.guard
 
-    def key_indices(self, key: int) -> int:
-        """A support key as a bitmask over support indices."""
-        return sum(
-            1 << i
-            for i in range(len(self.support))
-            if key >> (i * self.bits + self.bits - 1) & 1
-        )
+    def key_vector(self, key: int) -> list[int]:
+        """A support key as a 0/1 vector over support indices."""
+        tops = range(self.bits - 1, self.bits * len(self.support), self.bits)
+        return [key >> t & 1 for t in tops]
 
     def lowest_field(self, state: int) -> int:
         """Index of the lowest nonzero field; -1 for the empty state."""

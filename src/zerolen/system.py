@@ -15,9 +15,10 @@ The full nonzero support is swept one canonical state per Aut(G)-orbit
 is |Aut(G)| <= ``groups.MAX_TREE_AUTOMORPHISMS``; every other sweep is the
 plain one (``_sweep``).  The witnesses of ``bounded_system`` are then orbit
 representatives, with the same lengths and minimal length as the plain
-sweep's, and the node budget counts canonical forms.  ``delta_star`` needs
-every support, so it spreads each representative's distances over the
-Aut-orbit of its support.
+sweep's, and the node budget counts canonical forms.  ``delta_star`` reads
+the least distance of each representative's support and descends over
+canonical supports, removing one element per stabilizer orbit; this is exact
+because the least distance over the subsets of a support is Aut-invariant.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .atoms import enumerate_atoms
+from .budget import NodeCounter
 from .families import COVERED_GROUPS, INTERSECTION, family_branches, intersection_witness
 from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
 from .lengths import (
@@ -266,60 +268,71 @@ def _rho_k_by_witness(group: FiniteAbelianGroup, k: int) -> RhoKCertificate:
 def delta_star(group: FiniteAbelianGroup, bound: int | None = None) -> tuple[int, ...]:
     """Bounded certificate for {min Delta(G0) : G0 with observed distances}.
 
-    One sweep over the full nonzero support records, per exact support, the
-    union of observed distance sets; a subset-sum (zeta) transform then gives
-    the observed Delta of every subset at once.
+    One orbit sweep over the full nonzero support gives, per Aut(G)-orbit of
+    supports, the least observed distance mu(C) of the sequences with a
+    support in that orbit.  A descent over canonical supports then takes
+    nu(C) = min(mu(C), nu(C - x)), with one x per Stab(C)-orbit of C.  It is
+    exact: nu is Aut-invariant and is the least observed distance over the
+    subsets of C, and for each G0 with observed distances the support S
+    inside G0 that carries min Delta(G0) has nu(S) = min Delta(G0).  So
+    Delta* is {nu(C)} over the observed supports.
     """
     if group.order > 16:
-        raise ValueError("delta_star enumerates subsets; needs |G| <= 16")
+        raise ValueError("delta_star needs |G| <= 16")
     bound = resolve_bound(group, bound)
-    return _delta_star_from(*_sweep(group, group.nonzero_elements, bound))
+    return _delta_star_from(*orbit_sweep(group, bound), group.automorphisms)
 
 
 def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
-    """Delta* from one pass over a full-support sweep.
+    """Delta* from one pass over an orbit sweep, by the descent of ``delta_star``.
 
-    With an automorphism tree each state stands for its orbit, so its
-    distances go to every support in the orbit of its own support.
+    Each canonical form computed ticks the budget, as in the sweep.
     """
-    dist_of_mask: dict[int, int] = {}
-    by_key: dict[int, int] = {}  # support key -> union of its distance masks
+    least_of_mask: dict[int, int] = {}  # length mask -> its least distance, or 0
+    least: dict[int, int] = {}  # support key -> least distance of its states
     for level in levels:
         for state, mask in level.items():
-            d = dist_of_mask.get(mask)
-            if d is None:  # bit g set iff g is a distance of the set
-                d = sum(1 << g for g in delta(mask_to_lengths(mask)))
-                dist_of_mask[mask] = d
+            d = least_of_mask.get(mask)
+            if d is None:
+                gaps = delta(mask_to_lengths(mask))
+                d = least_of_mask[mask] = gaps[0] if gaps else 0
             if d:
                 key = layout.support_key(state)
-                by_key[key] = by_key.get(key, 0) | d
+                if d < least.get(key, d + 1):
+                    least[key] = d
 
-    m = len(layout.support)
-    by_support = [0] * (1 << m)
-    for key, d in by_key.items():
-        by_support[layout.key_indices(key)] = d
-    if tree is not None:  # spread each orbit's union over the whole orbit
-        done: set[int] = set()
-        for sub in [layout.key_indices(key) for key in by_key]:
-            if sub not in done:
-                orbit = tree.support_orbit(sub)
-                done |= orbit
-                d = 0
-                for s in orbit:
-                    d |= by_support[s]
-                for s in orbit:
-                    by_support[s] = d
-    for i in range(m):
-        bit = 1 << i
-        for s in range(1 << m):
-            if s & bit:
-                by_support[s] |= by_support[s ^ bit]
+    tick = NodeCounter().tick
+    canonical = tree.canonical
+    positions = range(len(layout.support))
+    mu: dict[tuple[int, ...], int] = {}  # canonical support -> least distance
+    tick(len(least))
+    for key, d in least.items():
+        c, _ = canonical(layout.key_vector(key))
+        if d < mu.get(c, d + 1):
+            mu[c] = d
+    floor = min(mu.values(), default=0)
+    nu: dict[tuple[int, ...], float] = {}
 
-    mins: set[int] = set()
-    for acc in by_support:
-        if acc:
-            mins.add((acc & -acc).bit_length() - 1)
-    return tuple(sorted(mins))
+    def descend(c: tuple[int, ...]) -> float:
+        got = nu.get(c)
+        if got is None:
+            got = mu.get(c, math.inf)
+            if got > floor:
+                tick(1)
+                stab = canonical(c)[1]  # c is canonical: the survivors are Stab(c)
+                done: set[int] = set()
+                for x in positions:
+                    if c[x] and x not in done:
+                        done.update(phi[x] for phi in stab)
+                        tick(1)
+                        child, _ = canonical(c[:x] + (0,) + c[x + 1 :])
+                        got = min(got, descend(child))
+                        if got == floor:
+                            break
+            nu[c] = got
+        return got
+
+    return tuple(sorted({descend(c) for c in mu}))
 
 
 # ---------------------------------------------------------------------------

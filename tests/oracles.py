@@ -5,9 +5,12 @@ recursive factorization search) and deliberately avoids the pruned search,
 the memoized recursion and the packed sweep of the package under test.  The
 only shared ingredient is elementwise group arithmetic.  The numerical-monoid
 oracles work on plain sets of lengths, never on the package's bitmask table.
-The orbit-sweep reference is the one exception: it is the reference for the
+The orbit-sweep reference is one exception: it is the reference for the
 sweep's step only, so it reads the atom catalog and the automorphism tree,
-which are checked against ``naive_atoms`` and ``naive_automorphisms``.
+which are checked against ``naive_atoms`` and ``naive_automorphisms``.  The
+plain-sweep Delta* is the other: it reads a plain sweep, which the tests
+check against ``naive_lengths``, and is the reference for the descent over
+canonical supports only.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import product
 
 from zerolen.atoms import enumerate_atoms
 from zerolen.groups import FiniteAbelianGroup
+from zerolen.lengths import delta, mask_to_lengths
 from zerolen.sequences import Sequence
 
 
@@ -214,3 +218,31 @@ def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
                 tgt = pending.setdefault(s + alen, {})
                 tgt[key] = tgt.get(key, 0) | mask << 1
 
+
+def plain_sweep_delta_star(layout, levels) -> tuple[int, ...]:
+    """Delta* from a plain sweep over the full nonzero support, by a zeta transform.
+
+    Each state adds its distances to its exact support; the subset-sum
+    transform over all 2^m supports then gives the observed distances of
+    every subset, and Delta* collects the least of each nonempty one.
+    """
+    dist_of_mask: dict[int, int] = {}  # bit g set iff g is a distance of the set
+    by_key: dict[int, int] = {}  # support key -> union of its distance masks
+    for level in levels:
+        for state, mask in level.items():
+            d = dist_of_mask.get(mask)
+            if d is None:
+                d = sum(1 << g for g in delta(mask_to_lengths(mask)))
+                dist_of_mask[mask] = d
+            key = layout.support_key(state)
+            by_key[key] = by_key.get(key, 0) | d
+    m = len(layout.support)
+    by_support = [0] * (1 << m)
+    for key, d in by_key.items():
+        by_support[sum(b << i for i, b in enumerate(layout.key_vector(key)))] = d
+    for i in range(m):
+        bit = 1 << i
+        for s in range(1 << m):
+            if s & bit:
+                by_support[s] |= by_support[s ^ bit]
+    return tuple(sorted({(acc & -acc).bit_length() - 1 for acc in by_support if acc}))

@@ -243,6 +243,11 @@ def test_atom_enumeration_budget_exit_code(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_delta_star_refuses_groups_past_order_16(capsys):
+    assert main(["delta-star", "17"]) == 2
+    assert capsys.readouterr().err == "error: delta_star needs |G| <= 16\n"
+
+
 def test_family_usage_errors(capsys):
     assert main(["family", "match", "--set", "2,5"]) == 2
     err = capsys.readouterr().err

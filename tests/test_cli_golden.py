@@ -44,6 +44,9 @@ GOLDEN = [
     ("delta-star 5", "206badc1a0968d87"),
     ("delta-star 2x4", "34b87c3b63056f1a"),
     ("delta-star 2x2x2x2 --max-len 10", "8dd9de54cf2d8bb9"),
+    ("delta-star 2x2x4 --max-len 8", "8592a224a091290d"),
+    ("delta-star 4x4 --max-len 8", "0fc34c0d7246431a"),
+    ("delta-star 2x8 --max-len 8", "48952e888339b222"),
     ("atoms 2x4 --classify --full", "d185331d5b09bd11"),
     ("compare 4 2x2x2", "1a03f5a4e28073db"),
     ("intersect 3 5 --max-value 30", "a78ce58d457c7a05"),

@@ -114,17 +114,3 @@ def test_canonical_form_is_the_largest_image(factors):
         # on its own canonical form the survivors are the stabilizer
         _, stab = tree.canonical(list(canon))
         assert set(stab) == {q for q in naive if tuple(canon[i] for i in q) == canon}
-
-
-@pytest.mark.parametrize("factors", [[3, 3], [2, 2, 2], [2, 2, 2, 2]])
-def test_support_orbit_is_the_orbit_under_every_automorphism(factors):
-    G = make_group(factors)
-    n = G.order - 1
-    perms = naive_automorphisms(G) if G.order < 16 else None
-    if perms is None:  # all 20160 leaves of the tree instead of brute force
-        _, perms = G.automorphisms.canonical([0] * n)
-    rng = random.Random(1)
-    for _ in range(6):
-        mask = rng.randrange(1 << n)
-        orbit = {sum(1 << q[p] for p in range(n) if mask >> p & 1) for q in perms}
-        assert G.automorphisms.support_orbit(mask) == orbit

@@ -24,7 +24,7 @@ from zerolen.system import (
     _system_from,
 )
 
-from oracles import naive_lengths, naive_orbit_levels
+from oracles import naive_lengths, naive_orbit_levels, plain_sweep_delta_star
 
 
 def _bounded_sweep(G, bound):
@@ -103,7 +103,8 @@ def test_support_key_matches_unpacked_support():
             support = layout.unpack(state).support
             indices = sum(1 << G.nonzero_elements.index(g) for g in support)
             key = layout.support_key(state)
-            assert layout.key_indices(key) == indices
+            vector = layout.key_vector(key)
+            assert sum(b << i for i, b in enumerate(vector)) == indices
             assert keys.setdefault(key, support) == support
             checked += 1
     # every subset of the support occurs, the empty one included
@@ -166,7 +167,7 @@ def test_delta_star_small_groups():
 
 @pytest.mark.parametrize("factors, bound", [([2, 4], 10), ([2, 2, 2], 10), ([5], 14)])
 def test_delta_star_is_min_observed_delta_over_subsets(factors, bound):
-    # the zeta transform over supports against one bounded system per subset
+    # the descent over canonical supports against one bounded system per subset
     G = make_group(factors)
     elems = G.nonzero_elements
     expected = set()
@@ -176,6 +177,29 @@ def test_delta_star_is_min_observed_delta_over_subsets(factors, bound):
         if observed:
             expected.add(observed[0])
     assert delta_star(G, bound) == tuple(sorted(expected))
+
+
+@pytest.mark.parametrize(
+    "factors, bound",
+    [([2, 2, 2, 2], 10), ([2, 2, 4], 8), ([4, 4], 8), ([2, 8], 8), ([16], 8)],
+)
+def test_delta_star_matches_the_plain_sweep_oracle(factors, bound):
+    # the groups where the descent departs most from the zeta transform
+    G = make_group(factors)
+    assert delta_star(G, bound) == plain_sweep_delta_star(*_bounded_sweep(G, bound))
+
+
+def test_delta_star_readout_ticks_the_budget(monkeypatch):
+    # the sweep finishes under the default budget; the readout's canonical
+    # forms then exceed a budget of 10
+    from zerolen.budget import ResourceLimitError
+
+    G = make_group([2, 2, 2, 2])
+    layout, levels = orbit_sweep(G, 12)
+    levels = list(levels)
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "10")
+    with pytest.raises(ResourceLimitError):
+        _delta_star_from(layout, levels, G.automorphisms)
 
 
 def test_no_sweep_level_outlives_bounded_system():
@@ -270,9 +294,9 @@ def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     for entry in orbit.entries:
         assert entry.witness.length == entry.min_length
         assert eng.length_set(entry.witness) == entry.lengths
-    assert _delta_star_from(o_layout, o_levels, G.automorphisms) == _delta_star_from(
-        p_layout, p_levels, None
-    )
+    assert _delta_star_from(
+        o_layout, o_levels, G.automorphisms
+    ) == plain_sweep_delta_star(p_layout, p_levels)
     # one state per orbit: far fewer states, the same distinct masks per level
     assert sum(map(len, o_levels)) < sum(map(len, p_levels))
     for o_level, p_level in zip(o_levels, p_levels):
