@@ -208,6 +208,8 @@ def parse_group(spec: str) -> FiniteAbelianGroup:
         if not m:
             raise ValueError(f"cannot parse group spec token {t!r} in {spec!r}")
         orders.append(int(m.group(1)))
+    if not orders:
+        raise ValueError(f"group spec {spec!r} names no cyclic order")
     return make_group(orders)
 
 

@@ -18,13 +18,14 @@ finished state is one integer addition and one OR.  Two rules keep it small:
   state whose lowest nonzero field is i pushes only the atoms whose lowest
   field is at most i (Knuth's column rule in "Dancing links").
 
-``orbit_sweep`` runs the same recursion over all nonzero elements with one
-state per Aut(G)-orbit; ``system`` takes it for the full nonzero support of
-every group whose automorphism tree fits.  It is exact because an
-automorphism φ maps atoms to atoms, so L(φB) = L(B): the orbit of S + A is
-reached from the canonical representative R of S's orbit by pushing A∘φ
-onto R, and pushes that differ by an element of Stab(R) land in one orbit,
-so one atom per Stab(R)-orbit suffices.  A representative is a zero-sum
+``orbit_sweep`` is the one sweep of every bounded system: it runs the same
+recursion over all nonzero elements with one state per Aut(G)-orbit when
+the group's automorphism tree fits, and the plain sweep (the orbits of the
+trivial group) when it does not.  It is exact because an automorphism φ
+maps atoms to atoms, so L(φB) = L(B): the orbit of S + A is reached from
+the canonical representative R of S's orbit by pushing A∘φ onto R, and
+pushes that differ by an element of Stab(R) land in one orbit, so one
+atom per Stab(R)-orbit suffices.  A representative is a zero-sum
 multiset of the same size with the same lengths as every member of its
 orbit, so it is a valid witness with the same minimal length.  Each distinct
 child is canonicalized once, when its level is complete, and Stab(R) with
@@ -48,7 +49,7 @@ from typing import Iterable, Iterator, Optional
 
 from .atoms import enumerate_atoms
 from .budget import NodeCounter, ResourceLimitError
-from .groups import Element, FiniteAbelianGroup
+from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
 from .sequences import Sequence
 
 Lengths = tuple[int, ...]
@@ -212,10 +213,14 @@ def orbit_sweep(
     From a representative R only one atom per orbit of Stab(R) is pushed:
     R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
     budget ticks once per canonical form computed: once per distinct child
-    of a level, and once per stabilizer.
+    of a level, and once per stabilizer.  A group whose tree is refused
+    (|Aut(G)| > ``MAX_TREE_AUTOMORPHISMS``) gets the plain sweep with every
+    cap at ``limit``, one state per multiset, and no tree is built.
     """
-    catalog = enumerate_atoms(group)
     support = group.nonzero_elements
+    if group.automorphism_count > MAX_TREE_AUTOMORPHISMS:
+        return packed_sweep(group, support, [limit] * len(support), limit)
+    catalog = enumerate_atoms(group)
     layout = PackedLayout(group, support, limit + catalog.davenport)
     tree = group.automorphisms  # position p is support[p]
     position = {g: p for p, g in enumerate(support)}

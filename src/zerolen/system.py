@@ -10,15 +10,17 @@ once, here: ``default_bound`` is the one table of certificate bounds (which
 ``verify``'s catalog targets sweep at), ``resolve_bound`` applies it and
 rejects a negative bound, and ``size_bound`` is the rule |B| <= k*D(G).
 
-The full nonzero support is swept one canonical state per Aut(G)-orbit
-(``lengths.orbit_sweep``) whenever the group's automorphism tree fits, that
-is |Aut(G)| <= ``groups.MAX_TREE_AUTOMORPHISMS``; every other sweep is the
-plain one (``_sweep``).  The witnesses of ``bounded_system`` are then orbit
-representatives, with the same lengths and minimal length as the plain
-sweep's, and the node budget counts canonical forms.  ``delta_star`` reads
-the least distance of each representative's support and descends over
-canonical supports, removing one element per stabilizer orbit; this is exact
-because the least distance over the subsets of a support is Aut-invariant.
+Every system here is a system of G or of G∖{0}, read off one sweep of the
+nonzero elements, ``lengths.orbit_sweep``; 0 is a prime of B(G), so the
+sets of G are shifts L(0^y B) = y + L(B).  ``orbit_sweep`` alone picks the
+sweep: one canonical state per Aut(G)-orbit whenever the group's
+automorphism tree fits, else the plain one.  The witnesses of
+``bounded_system`` are then orbit representatives, with the same lengths
+and minimal length as the plain sweep's, and the node budget counts
+canonical forms.  ``delta_star`` reads the least distance of each
+representative's support and descends over canonical supports, removing one
+element per stabilizer orbit; this is exact because the least distance over
+the subsets of a support is Aut-invariant.
 """
 
 from __future__ import annotations
@@ -31,15 +33,8 @@ from typing import Iterable, Optional
 from .atoms import enumerate_atoms
 from .budget import NodeCounter
 from .families import COVERED_GROUPS, INTERSECTION, family_branches, intersection_witness
-from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
-from .lengths import (
-    Lengths,
-    delta,
-    engine_for,
-    mask_to_lengths,
-    orbit_sweep,
-    packed_sweep,
-)
+from .groups import Element, FiniteAbelianGroup
+from .lengths import Lengths, delta, engine_for, mask_to_lengths, orbit_sweep
 from .sequences import Sequence
 
 
@@ -88,7 +83,6 @@ class SystemEntry:
 @dataclass(frozen=True)
 class BoundedSystem:
     group: FiniteAbelianGroup
-    subset: tuple[Element, ...]
     bound: int
     entries: tuple[SystemEntry, ...]
 
@@ -113,41 +107,27 @@ def bounded_system(
 ) -> BoundedSystem:
     """All distinct L(B) over zero-sum B with supp(B) in subset and |B| <= bound.
 
-    The default subset is the nonzero elements.  When the subset contains 0,
-    the zero element is handled by the shift rule L(0^y B) = y + L(B) rather
-    than enumerated.
+    ``subset`` is None or the nonzero elements, for the system of G∖{0}, or
+    all of G, whose zero element is handled by the shift rule
+    L(0^y B) = y + L(B) rather than enumerated; any other subset is a
+    ValueError.  The sweep is ``lengths.orbit_sweep``.
     """
     bound = resolve_bound(group, bound)
     elems = (
         group.nonzero_elements if subset is None else group.canonical_subset(subset)
     )
-    support = tuple(g for g in elems if g != group.zero)
-    layout, levels, _ = _sweep(group, support, bound)
-    return _system_from(group, elems, bound, layout, levels)
+    if elems not in (group.nonzero_elements, group.elements):
+        raise ValueError("the subset must be all of G or its nonzero elements")
+    layout, levels = orbit_sweep(group, bound)
+    return _system_from(group, elems == group.elements, bound, layout, levels)
 
 
-def _sweep(group: FiniteAbelianGroup, support: tuple[Element, ...], bound: int):
-    """(layout, levels, tree) of the sweep for ``support`` up to ``bound``.
-
-    The full nonzero support of a group whose automorphism tree fits runs
-    the orbit sweep, and ``tree`` is that tree; everything else runs the
-    plain sweep, with ``tree`` None.
-    """
-    if (
-        support == group.nonzero_elements
-        and group.automorphism_count <= MAX_TREE_AUTOMORPHISMS
-    ):
-        return (*orbit_sweep(group, bound), group.automorphisms)
-    return (*packed_sweep(group, support, [bound] * len(support), bound), None)
-
-
-def _system_from(group, elems, bound, layout, levels) -> BoundedSystem:
+def _system_from(group, with_zero: bool, bound, layout, levels) -> BoundedSystem:
     """The bounded system read from one pass over the sweep's levels.
 
     Each mask keeps its first state in level order, so its witness has the
-    least size; with 0 in ``elems`` every shift y <= bound - size is added.
+    least size; ``with_zero`` adds every shift y <= bound - size.
     """
-    with_zero = group.zero in elems
     best: dict[int, tuple[int, int]] = {}  # mask -> (size, state)
     for size, level in enumerate(levels):
         for state, mask in level.items():
@@ -171,7 +151,7 @@ def _system_from(group, elems, bound, layout, levels) -> BoundedSystem:
         )
         for lengths, (size, state, y) in sorted(chosen.items())
     )
-    return BoundedSystem(group, elems, bound, entries)
+    return BoundedSystem(group, bound, entries)
 
 
 def observed_delta(system: BoundedSystem) -> tuple[int, ...]:
@@ -417,6 +397,8 @@ def bounded_intersection(
         raise ValueError("the intersection statement needs |G| >= 3")
     base = gs[0]
     max_value = 9 if max_value is None else max_value
+    if max_value < 0:
+        raise ValueError("max_value must be >= 0")
     base_sys = bounded_system(base, base.elements, size_bound(base, max_value))
     candidates = [L for L in base_sys.length_sets() if L[-1] <= max_value]
     if len(gs) == 1:

@@ -8,8 +8,10 @@ oracles work on plain sets of lengths, never on the package's bitmask table.
 The orbit-sweep reference is one exception: it is the reference for the
 sweep's step only, so it reads the atom catalog and the automorphism tree,
 which are checked against ``naive_atoms`` and ``naive_automorphisms``.  The
-plain-sweep Delta* is the other: it reads a plain sweep, which the tests
-check against ``naive_lengths``, and is the reference for the descent over
+oracles that read the package's plain sweep, which the tests check against
+``naive_lengths``, are the others: the plain-sweep Delta*
+(``plain_sweep_delta_star``) and the least distance over one subset
+(``plain_sweep_least_distance``), each a reference for the descent over
 canonical supports only.
 """
 
@@ -19,7 +21,7 @@ from itertools import product
 
 from zerolen.atoms import enumerate_atoms
 from zerolen.groups import FiniteAbelianGroup
-from zerolen.lengths import delta, mask_to_lengths
+from zerolen.lengths import delta, mask_to_lengths, packed_sweep
 from zerolen.sequences import Sequence
 
 
@@ -246,3 +248,15 @@ def plain_sweep_delta_star(layout, levels) -> tuple[int, ...]:
             if s & bit:
                 by_support[s] |= by_support[s ^ bit]
     return tuple(sorted({(acc & -acc).bit_length() - 1 for acc in by_support if acc}))
+
+
+def plain_sweep_least_distance(group: FiniteAbelianGroup, subset, bound: int) -> int:
+    """The least observed distance over ``subset`` up to ``bound``, 0 if none.
+
+    It reads the plain sweep of ``subset`` with every cap at ``bound``: the
+    least distance of every zero-sum sequence of at most ``bound`` terms.
+    """
+    support = group.canonical_subset(subset)
+    _, levels = packed_sweep(group, support, [bound] * len(support), bound)
+    masks = {mask for level in levels for mask in level.values()}
+    return min((d for mask in masks for d in delta(mask_to_lengths(mask))), default=0)

@@ -181,6 +181,7 @@ _USAGE_ERRORS = [
     (["family", "match", "5", "--set", "2 5"], "--set"),
     (["lengths", "5", "(1,2,3)^5"], None),  # more coordinates than the rank
     (["atoms", "5", "--subset", "(1,9)"], None),
+    (["system", ""], None),  # a spec with no cyclic order is not C1
 ]
 
 
@@ -417,3 +418,8 @@ def test_intersection_sweeps_the_base_to_davenport_times_max(capsys):
     assert code == 0 and payload["unconfirmed"] == []
     assert [14, 15, 16, 17, 18, 19, 20, 21] in payload["sets"]
     assert max(L[-1] for L in payload["sets"]) == 30
+
+
+def test_intersection_rejects_a_negative_max_value_by_name(capsys):
+    assert main(["intersect", "3", "5", "--max-value", "-1"]) == 2
+    assert capsys.readouterr().err == "error: max_value must be >= 0\n"

@@ -35,6 +35,10 @@ def test_parse_group_variants():
     assert parse_group(" c4 X c2 ").invariant_factors == (2, 4)
     with pytest.raises(ValueError):
         parse_group("banana")
+    # a spec with no cyclic order is refused; the trivial group is make_group([])
+    for spec in ("", " , "):
+        with pytest.raises(ValueError):
+            parse_group(spec)
 
 
 def test_element_orders():

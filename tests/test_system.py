@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-import zerolen.system
+import zerolen.lengths
 from zerolen import (
     Sequence,
     bounded_system,
@@ -15,16 +15,15 @@ from zerolen import (
     observed_delta,
     rho_k,
 )
-from zerolen.groups import MAX_TREE_AUTOMORPHISMS
 from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
-from zerolen.system import (
-    _delta_star_from,
-    _rho_k_by_witness,
-    _sweep,
-    _system_from,
-)
+from zerolen.system import _delta_star_from, _rho_k_by_witness, _system_from
 
-from oracles import naive_lengths, naive_orbit_levels, plain_sweep_delta_star
+from oracles import (
+    naive_lengths,
+    naive_orbit_levels,
+    plain_sweep_delta_star,
+    plain_sweep_least_distance,
+)
 
 
 def _bounded_sweep(G, bound):
@@ -58,11 +57,14 @@ def test_monotone_in_bound():
     assert small <= large
 
 
-def test_subset_monotone():
+def test_bounded_system_is_over_g_or_its_nonzero_elements():
     g24 = make_group([2, 4])
-    sub = bounded_system(g24, [(0, 1), (0, 3)], 12)
-    full = bounded_system(g24, None, 12)
-    assert set(sub.length_sets()) <= set(full.length_sets())
+    for subset in ([(0, 1), (0, 3)], g24.nonzero_elements[1:], g24.elements[:-1]):
+        with pytest.raises(ValueError):
+            bounded_system(g24, subset, 12)
+    assert bounded_system(g24, g24.nonzero_elements, 12) == bounded_system(
+        g24, None, 12
+    )
 
 
 def test_atom_dichotomy():
@@ -167,15 +169,15 @@ def test_delta_star_small_groups():
 
 @pytest.mark.parametrize("factors, bound", [([2, 4], 10), ([2, 2, 2], 10), ([5], 14)])
 def test_delta_star_is_min_observed_delta_over_subsets(factors, bound):
-    # the descent over canonical supports against one bounded system per subset
+    # the descent over canonical supports against one plain sweep per subset
     G = make_group(factors)
     elems = G.nonzero_elements
     expected = set()
     for pick in range(1, 1 << len(elems)):
         subset = [g for i, g in enumerate(elems) if pick >> i & 1]
-        observed = observed_delta(bounded_system(G, subset, bound))
-        if observed:
-            expected.add(observed[0])
+        least = plain_sweep_least_distance(G, subset, bound)
+        if least:
+            expected.add(least)
     assert delta_star(G, bound) == tuple(sorted(expected))
 
 
@@ -248,19 +250,21 @@ def test_node_budget_cap_is_honored(monkeypatch):
         delta_star(G, 12)
 
 
-def test_orbit_sweep_selection(monkeypatch):
-    # the full support takes the orbit sweep whenever the tree fits
-    for factors in ([3], [2, 2], [5], [2, 4], [3, 3], [2, 2, 2], [2, 2, 2, 2]):
-        G = make_group(factors)
-        assert _sweep(G, G.nonzero_elements, 4)[2] is G.automorphisms
-    # a proper subset of C2^4 sweeps plainly
-    assert _sweep(G, G.nonzero_elements[1:], 4)[2] is None
-    # so does C2^5, whose tree is refused and never built; the plain sweep is
-    # stubbed, since C2^5's atom catalog alone takes seconds
-    monkeypatch.setattr(zerolen.system, "packed_sweep", lambda *args: (None, None))
-    G = make_group([2, 2, 2, 2, 2])
-    assert G.automorphism_count > MAX_TREE_AUTOMORPHISMS
-    assert _sweep(G, G.nonzero_elements, 4)[2] is None
+def test_a_refused_tree_falls_back_to_the_plain_sweep(monkeypatch):
+    # with the threshold below |Aut(C2^3)| = 168, orbit_sweep sweeps plainly
+    # and never builds the tree; the system is the tree path's
+    orbits = bounded_system(make_group([2, 2, 2]), None, 12)
+    monkeypatch.setattr(zerolen.lengths, "MAX_TREE_AUTOMORPHISMS", 100)
+    G = make_group([2, 2, 2])
+    plain = bounded_system(G, None, 12)
+    assert plain.length_sets() == orbits.length_sets()
+    assert [e.min_length for e in plain.entries] == [
+        e.min_length for e in orbits.entries
+    ]
+    eng = engine_for(G)
+    for entry in plain.entries:
+        assert entry.witness.length == entry.min_length
+        assert eng.length_set(entry.witness) == entry.lengths
     assert "automorphisms" not in G.__dict__
 
 
@@ -279,13 +283,12 @@ def test_orbit_sweep_selection(monkeypatch):
 def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     # the plain sweep is the orbit sweep's oracle
     G = make_group(factors)
-    support = G.nonzero_elements
     o_layout, o_levels = orbit_sweep(G, bound)
     o_levels = list(o_levels)
     p_layout, p_levels = _bounded_sweep(G, bound)
     p_levels = list(p_levels)
-    orbit = _system_from(G, support, bound, o_layout, o_levels)
-    plain = _system_from(G, support, bound, p_layout, p_levels)
+    orbit = _system_from(G, False, bound, o_layout, o_levels)
+    plain = _system_from(G, False, bound, p_layout, p_levels)
     assert orbit.length_sets() == plain.length_sets()
     assert [e.min_length for e in orbit.entries] == [
         e.min_length for e in plain.entries
