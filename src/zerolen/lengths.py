@@ -1,22 +1,23 @@
 """Exact sets of lengths, with the derived invariants and the AAMP test.
 
-One forward dynamic program computes every length set in the package.  It
-walks zero-sum multisets over a fixed support, packed into one integer with
-a bit field per support element, in order of size:
+Two dynamic programs compute every length set of a zero-sum sequence in
+the package.  Both walk zero-sum multisets over a fixed support, packed into
+one integer with a bit field per support element and one guard bit above
+each field.  Both keep a state's lengths as a bitmask, so one step is one
+integer addition or subtraction and one OR.  Both rest on the pivot rule:
+every factorization of T contains an atom holding the lowest element of T,
+so
 
-    L(empty) = {0},    L(S + A) contains 1 + L(S) for each atom A,
+    L(T) = union of 1 + L(T - A) over the atoms A | T whose lowest field
+           is the lowest nonzero field of T
 
-and a state's value is the bitmask of its lengths, so pushing an atom onto a
-finished state is one integer addition and one OR.  Two rules keep it small:
+(Geroldinger and Halter-Koch, *Non-Unique Factorizations*, 2006, §1.4).
 
-* Cap.  Each field has a cap and one guard bit above it; a push is kept only
-  while every field stays within its cap.  With caps equal to a length bound
-  the sweep enumerates a bounded system (``system``); with caps equal to the
-  multiplicities of B it reaches exactly the zero-sum divisors of B.
-* Pivot.  Every factorization of T contains an atom holding the lowest
-  element of T, so T needs only the pushes of those atoms.  In push form a
-  state whose lowest nonzero field is i pushes only the atoms whose lowest
-  field is at most i (Knuth's column rule in "Dancing links").
+``packed_sweep`` walks upward from the empty multiset in order of size,
+pushing onto a state whose lowest nonzero field is i only the atoms whose
+lowest field is at most i (Knuth's column rule in "Dancing links"), and
+yields every zero-sum multiset of at most ``limit`` terms: a bounded
+system (``system``).
 
 ``orbit_sweep`` is the one sweep of every bounded system: it runs the same
 recursion over all nonzero elements with one state per Aut(G)-orbit when
@@ -33,10 +34,13 @@ its atom orbits is shared by every R whose equal multiplicities sit at the
 same positions.  Its budget counts canonical forms, not states: one per
 distinct child and one per stabilizer.
 
-``LengthEngine.length_set`` runs the plain sweep with the multiplicities of
-B's zero-free core as caps and keeps only the top state's mask, memoized
-per core.  Zeros are re-added as a shift.  Length sets travel as sorted
-tuples.
+``LengthEngine.length_set`` runs the pivot rule downward instead.  It
+starts from B's zero-free core and takes states in decreasing size.  A
+state holds the bitmask of the lengths of the pivot paths from B down to
+it, and the empty state ends up holding L(B).  So the engine reaches only
+the divisors of B on such a path, not every zero-sum divisor.  Only the
+core's mask is memoized.  Zeros are re-added as a shift.  Length sets
+travel as sorted tuples.
 """
 
 from __future__ import annotations
@@ -130,22 +134,18 @@ class PackedLayout:
 
 
 def packed_sweep(
-    group: FiniteAbelianGroup,
-    support: tuple[Element, ...],
-    caps: list[int],
-    limit: int,
+    group: FiniteAbelianGroup, support: tuple[Element, ...], limit: int
 ) -> tuple[PackedLayout, Iterator[dict[int, int]]]:
     """The layout and the levels 0..limit of the sweep over ``support``.
 
-    Level s maps each packed zero-sum multiset of size s, with multiplicity
-    at most ``caps[i]`` of ``support[i]``, to its length bitmask.  Levels are
-    yielded in size order and dropped by the sweep once expanded, so a caller
-    keeps only what it stores.  The sweep's own budget counter ticks once per
-    state as a level is expanded, after the caller has received that level.
+    Level s maps each packed zero-sum multiset of size s to its length
+    bitmask.  Levels are yielded in size order and dropped by the sweep once
+    expanded, so a caller keeps only what it stores.  The sweep's own budget
+    counter ticks once per state as a level is expanded, after the caller
+    has received that level.
     """
     catalog = enumerate_atoms(group, support)
-    layout = PackedLayout(group, support, max(caps, default=0) + catalog.davenport)
-    ceiling = layout.guard | layout.pack(zip(support, caps))
+    layout = PackedLayout(group, support, limit + catalog.davenport)
     atoms = sorted(
         (a.length, layout.pack(a.items)) for a in catalog if a.length <= limit
     )
@@ -161,11 +161,10 @@ def packed_sweep(
         ]
         for i in range(max(len(support), 1))
     ]
-    levels = _levels(by_pivot, layout.bits, ceiling, layout.guard, limit)
-    return layout, levels
+    return layout, _levels(by_pivot, layout.bits, limit)
 
 
-def _levels(by_pivot, bits, ceiling, guard, limit):
+def _levels(by_pivot, bits, limit):
     """Yield each level once every push into it is done, then expand it.
 
     A pivot's push list pairs each of its atoms with its target level.  It
@@ -195,8 +194,7 @@ def _levels(by_pivot, bits, ceiling, guard, limit):
                     pairs += zip(aks, repeat(pending.setdefault(s + alen, {})))
             for ak, tgt in pairs:
                 nk = state + ak
-                if (ceiling - nk) & guard == guard:  # every field within its cap
-                    tgt[nk] = tgt.get(nk, 0) | shifted
+                tgt[nk] = tgt.get(nk, 0) | shifted
 
 
 def orbit_sweep(
@@ -214,12 +212,12 @@ def orbit_sweep(
     R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
     budget ticks once per canonical form computed: once per distinct child
     of a level, and once per stabilizer.  A group whose tree is refused
-    (|Aut(G)| > ``MAX_TREE_AUTOMORPHISMS``) gets the plain sweep with every
-    cap at ``limit``, one state per multiset, and no tree is built.
+    (|Aut(G)| > ``MAX_TREE_AUTOMORPHISMS``) gets the plain sweep, one state
+    per multiset, and no tree is built.
     """
     support = group.nonzero_elements
     if group.automorphism_count > MAX_TREE_AUTOMORPHISMS:
-        return packed_sweep(group, support, [limit] * len(support), limit)
+        return packed_sweep(group, support, limit)
     catalog = enumerate_atoms(group)
     layout = PackedLayout(group, support, limit + catalog.davenport)
     tree = group.automorphisms  # position p is support[p]
@@ -315,7 +313,7 @@ class LengthEngine:
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        self.nodes = 0  # states expanded by every query so far; a memo hit adds none
+        self.nodes = 0  # descent states expanded by every query; a memo hit adds none
         self._memo: dict[tuple, int] = {(): 1}
 
     def length_set(self, seq: Sequence) -> Lengths:
@@ -335,18 +333,56 @@ class LengthEngine:
         return tuple(v + zeros for v in mask_to_lengths(mask))
 
     def _sweep_mask(self, core: tuple) -> int:
-        """Length bitmask of the core by a sweep with its multiplicities as caps.
+        """Length bitmask of the core by a descent from it along pivot atoms.
 
-        The top level of that sweep holds one state, the core itself.  The
-        budget covers this one sweep; ``nodes`` adds each level as it arrives,
-        which is the sweep's own charge for it, even when the budget runs out.
+        P(core) = {0}; states are taken in decreasing size, and a state T
+        whose lowest nonzero field is p passes P(T) << 1 to T - A for each
+        atom A | T whose lowest field is p.  Then P(empty) = L(core): each
+        factorization, its atoms ordered by lowest field, is one such path,
+        and each path is a factorization.  Only the next D(G) levels are
+        pending at a time, and nothing recurses.  The budget covers this one
+        descent; ``nodes`` adds each level above the empty one as it is taken,
+        the descent's own charge for it, even when the budget runs out.
         """
-        caps = [m for _, m in core]
-        _, levels = packed_sweep(self.group, tuple(g for g, _ in core), caps, sum(caps))
-        for top in levels:
-            self.nodes += len(top)
-        (mask,) = top.values()
-        return mask
+        support = tuple(g for g, _ in core)
+        mults = [m for _, m in core]
+        catalog = enumerate_atoms(self.group, support)
+        layout = PackedLayout(self.group, support, max(mults) + catalog.davenport)
+        guard, bits = layout.guard, layout.bits
+        top = layout.pack(core)
+        # by_pivot[p]: the atoms dividing the core whose lowest field is p,
+        # as (length, atoms) buckets.  A | T iff subtracting A from T with
+        # every guard bit set borrows from none of them.
+        by_pivot: list[dict[int, list[int]]] = [{} for _ in support]
+        for a in catalog:
+            ak = layout.pack(a.items)
+            if ((top | guard) - ak) & guard == guard:
+                by_pivot[layout.lowest_field(ak)].setdefault(a.length, []).append(ak)
+        tick = NodeCounter().tick
+        pending: dict[int, dict[int, int]] = {sum(mults): {top: 1}}
+        for s in range(sum(mults), 0, -1):
+            cur = pending.pop(s, None)
+            if not cur:
+                continue
+            self.nodes += len(cur)
+            tick(len(cur))
+            steps: list = [None] * len(support)
+            for state, mask in cur.items():
+                pivot = ((state & -state).bit_length() - 1) // bits
+                pairs = steps[pivot]
+                if pairs is None:
+                    pairs = steps[pivot] = []
+                    for alen, aks in by_pivot[pivot].items():
+                        if alen <= s:
+                            pairs += zip(aks, repeat(pending.setdefault(s - alen, {})))
+                shifted = mask << 1
+                high = state | guard
+                for ak, tgt in pairs:
+                    nk = high - ak
+                    if nk & guard == guard:  # A divides T
+                        nk ^= guard
+                        tgt[nk] = tgt.get(nk, 0) | shifted
+        return pending[0][0]
 
     def max_length_with_length2_atom(self, seq: Sequence, atom2: Sequence) -> int:
         """max L(B) computed as 1 + max L(B / A1) for a dividing length-2 atom.

@@ -257,6 +257,6 @@ def plain_sweep_least_distance(group: FiniteAbelianGroup, subset, bound: int) ->
     least distance of every zero-sum sequence of at most ``bound`` terms.
     """
     support = group.canonical_subset(subset)
-    _, levels = packed_sweep(group, support, [bound] * len(support), bound)
+    _, levels = packed_sweep(group, support, bound)
     masks = {mask for level in levels for mask in level.values()}
     return min((d for mask in masks for d in delta(mask_to_lengths(mask))), default=0)

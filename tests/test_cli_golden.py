@@ -56,6 +56,12 @@ GOLDEN = [
     ("nm verify-56 2,3;2,3 --bound 60", "4e3a6a00ed68a7c5"),
     ("nm verify-57 2,3 --bound 60", "1b1679a9eaf04630"),
     ("nm lengths 3,4,5 30", "b9e5450a5381cb3f"),
+    ("lengths 5 (1)^1000*(4)^1000", "86706cdc392f78f4"),
+    (
+        "lengths 2x2x2x2 (0,0,0,1)^6*(0,0,1,0)^6*(0,0,1,1)*(0,1,0,0)^6*(0,1,0,1)^2"
+        "*(1,0,0,0)^6*(1,0,1,0)^2*(1,1,0,0)*(1,1,1,1)^5",
+        "8dc511cccc59fc27",
+    ),
 ]
 
 

@@ -18,6 +18,13 @@ from zerolen import (
 from oracles import naive_lengths
 
 
+# the T48:L3 witness at y = 0, k = 10 (``zerolen family witness T48:L3 --k 10``)
+T48_L3_K10 = (
+    "(0,0,0,1)^6*(0,0,1,0)^6*(0,0,1,1)*(0,1,0,0)^6*(0,1,0,1)^2"
+    "*(1,0,0,0)^6*(1,0,1,0)^2*(1,1,0,0)*(1,1,1,1)^5"
+)
+
+
 def L(group, text):
     return engine_for(group).length_set(parse_sequence(group, text))
 
@@ -75,6 +82,20 @@ def test_node_budget_covers_one_query(monkeypatch):
     assert eng.nodes > 30
     with pytest.raises(ResourceLimitError):
         eng.length_set(parse_sequence(g5, "(1)^5*(2)^5*(3)^5*(4)^5"))
+
+
+def test_descent_visits_fewer_states_than_the_upward_sweep():
+    # the upward sweep capped by B's multiplicities took 12,601 states on
+    # the n = 50 ladder and 32,574 on the T48:L3 witness at k = 10
+    g5 = make_group([5])
+    eng = LengthEngine(g5)
+    assert eng.length_set(Sequence.build(g5, {(1,): 250, (4,): 250}))[0] == 100
+    assert eng.nodes == 6425
+    g16 = make_group([2, 2, 2, 2])
+    eng = LengthEngine(g16)
+    witness = parse_sequence(g16, T48_L3_K10)
+    assert eng.length_set(witness) == tuple(range(7, 18))
+    assert eng.nodes == 1441
 
 
 def test_rejects_non_zero_sum():

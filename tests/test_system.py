@@ -5,6 +5,7 @@ import pytest
 
 import zerolen.lengths
 from zerolen import (
+    LengthEngine,
     Sequence,
     bounded_system,
     compare_systems,
@@ -27,8 +28,7 @@ from oracles import (
 
 
 def _bounded_sweep(G, bound):
-    support = G.nonzero_elements
-    return packed_sweep(G, support, [bound] * len(support), bound)
+    return packed_sweep(G, G.nonzero_elements, bound)
 
 
 def test_bounded_system_examples():
@@ -82,8 +82,8 @@ def test_with_zero_subsets_shift():
 
 
 def test_sweep_masks_agree_with_engine():
-    # the sweep is the length engine; check every state of a bounded sweep
-    # against the exhaustive factorization search of the test oracle
+    # every state of a bounded sweep against the exhaustive factorization
+    # search of the test oracle
     G = make_group([2, 2])
     layout, levels = _bounded_sweep(G, 10)
     checked = 0
@@ -93,6 +93,21 @@ def test_sweep_masks_agree_with_engine():
             assert naive_lengths(G, seq) == mask_to_lengths(mask)
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("factors", [[2, 4], [2, 2, 2]])
+def test_engine_descent_matches_the_upward_sweep(factors):
+    # past the naive oracle's |B| <= 10: the engine's descent from each state
+    # against the mask the upward sweep reached it with
+    G = make_group(factors)
+    layout, levels = _bounded_sweep(G, 12)
+    engine = LengthEngine(G)
+    checked = 0
+    for level in levels:
+        for state, mask in level.items():
+            assert engine.length_set(layout.unpack(state)) == mask_to_lengths(mask)
+            checked += 1
+    assert checked > 6000
 
 
 def test_support_key_matches_unpacked_support():
