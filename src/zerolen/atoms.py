@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 from .budget import NodeCounter
 from .groups import Element, FiniteAbelianGroup
 from .sequences import Sequence
-
-_CATALOGS: dict[tuple, "AtomCatalog"] = {}
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,16 @@ def enumerate_atoms(
 ) -> AtomCatalog:
     """Complete atom catalog over ``subset`` (default: all nonzero elements).
 
-    Results are cached per (group, subset).
+    Results are cached per (group, canonical subset) by ``_catalog``.
     """
     elems = (
         group.nonzero_elements if subset is None else group.canonical_subset(subset)
     )
-    key = (group.invariant_factors, elems)
-    cached = _CATALOGS.get(key)
-    if cached is not None:
-        return cached
+    return _catalog(group, elems)
 
+
+@cache
+def _catalog(group: FiniteAbelianGroup, elems: tuple[Element, ...]) -> AtomCatalog:
     atoms: list[Sequence] = []
     zero = group.zero
     nonzero = tuple(g for g in elems if g != zero)
@@ -115,9 +113,7 @@ def enumerate_atoms(
     for items in _minimal_zero_sums(group, nonzero):
         atoms.append(Sequence(group, items))
     atoms.sort(key=lambda a: (a.length, a.items))
-    catalog = AtomCatalog(group, elems, tuple(atoms))
-    _CATALOGS[key] = catalog
-    return catalog
+    return AtomCatalog(group, elems, tuple(atoms))
 
 
 def is_half_factorial(

@@ -811,8 +811,11 @@ class EquivalenceReport:
     only_second: tuple[tuple[int, ...], ...]
 
 
-def presentation_equivalence(pair: str, bound: int = 30) -> EquivalenceReport:
-    """Compare two presentations of the same family, member sets up to a bound."""
+PRESENTATION_BOUND = 30
+
+
+def presentation_equivalence(pair: str) -> EquivalenceReport:
+    """Compare two presentations of a family, member sets up to PRESENTATION_BOUND."""
     if pair not in _EQUIVALENCES:
         raise ValueError(
             f"unknown presentation pair {pair!r}; known: {sorted(_EQUIVALENCES)}"
@@ -821,7 +824,8 @@ def presentation_equivalence(pair: str, bound: int = 30) -> EquivalenceReport:
     branches = [
         br for br in REGISTRY if br.family == family and br.branch.startswith(prefix)
     ]
-    sa, sb = _members_from_branches(branches, bound), second(bound)
+    sa = _members_from_branches(branches, PRESENTATION_BOUND)
+    sb = second(PRESENTATION_BOUND)
     only_a = tuple(sorted(tuple(sorted(s)) for s in sa - sb))
     only_b = tuple(sorted(tuple(sorted(s)) for s in sb - sa))
-    return EquivalenceReport(pair, bound, sa == sb, only_a, only_b)
+    return EquivalenceReport(pair, PRESENTATION_BOUND, sa == sb, only_a, only_b)

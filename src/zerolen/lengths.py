@@ -38,36 +38,33 @@ distinct child and one per stabilizer.
 starts from B's zero-free core and takes states in decreasing size.  A
 state holds the bitmask of the lengths of the pivot paths from B down to
 it, and the empty state ends up holding L(B).  So the engine reaches only
-the divisors of B on such a path, not every zero-sum divisor.  Only the
-core's mask is memoized.  Zeros are re-added as a shift.  Length sets
-travel as sorted tuples.
+the divisors of B on such a path, and packs only the atoms dividing B.
+Only the core's mask is memoized, in the one engine per group that the
+cached ``engine_for`` hands every caller.  Zeros are re-added as a shift.
+Length sets travel as sorted tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .atoms import enumerate_atoms
 from .budget import NodeCounter, ResourceLimitError
-from .groups import MAX_TREE_AUTOMORPHISMS, Element, FiniteAbelianGroup
+from .groups import Element, FiniteAbelianGroup
 from .sequences import Sequence
 
 Lengths = tuple[int, ...]
 
-_ENGINES: dict[tuple[int, ...], "LengthEngine"] = {}
 
-
+@cache
 def engine_for(group: FiniteAbelianGroup) -> "LengthEngine":
     """Shared per-group engine so memo tables persist across callers."""
-    eng = _ENGINES.get(group.invariant_factors)
-    if eng is None:
-        eng = LengthEngine(group)
-        _ENGINES[group.invariant_factors] = eng
-    return eng
+    return LengthEngine(group)
 
 
 def mask_to_lengths(mask: int) -> Lengths:
@@ -212,15 +209,16 @@ def orbit_sweep(
     R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
     budget ticks once per canonical form computed: once per distinct child
     of a level, and once per stabilizer.  A group whose tree is refused
-    (|Aut(G)| > ``MAX_TREE_AUTOMORPHISMS``) gets the plain sweep, one state
-    per multiset, and no tree is built.
+    (``group.automorphisms`` raises ``ResourceLimitError``) gets the plain
+    sweep, one state per multiset.
     """
     support = group.nonzero_elements
-    if group.automorphism_count > MAX_TREE_AUTOMORPHISMS:
+    try:
+        tree = group.automorphisms  # position p is support[p]
+    except ResourceLimitError:
         return packed_sweep(group, support, limit)
     catalog = enumerate_atoms(group)
     layout = PackedLayout(group, support, limit + catalog.davenport)
-    tree = group.automorphisms  # position p is support[p]
     position = {g: p for p, g in enumerate(support)}
     # atoms by length, shortest first; an atom is its positions in ascending
     # order, each repeated by multiplicity, and its packed state
@@ -343,30 +341,30 @@ class LengthEngine:
         pending at a time, and nothing recurses.  The budget covers this one
         descent; ``nodes`` adds each level above the empty one as it is taken,
         the descent's own charge for it, even when the budget runs out.
+        Only the atoms dividing the core are packed, and every state divides
+        it, so the fields are sized by the core's largest multiplicity.
         """
-        support = tuple(g for g, _ in core)
-        mults = [m for _, m in core]
-        catalog = enumerate_atoms(self.group, support)
-        layout = PackedLayout(self.group, support, max(mults) + catalog.davenport)
+        mults = dict(core)
+        layout = PackedLayout(self.group, tuple(mults), max(mults.values()))
         guard, bits = layout.guard, layout.bits
         top = layout.pack(core)
         # by_pivot[p]: the atoms dividing the core whose lowest field is p,
-        # as (length, atoms) buckets.  A | T iff subtracting A from T with
-        # every guard bit set borrows from none of them.
-        by_pivot: list[dict[int, list[int]]] = [{} for _ in support]
-        for a in catalog:
-            ak = layout.pack(a.items)
-            if ((top | guard) - ak) & guard == guard:
+        # as (length, atoms) buckets
+        by_pivot: list[dict[int, list[int]]] = [{} for _ in core]
+        for a in enumerate_atoms(self.group, layout.support):
+            if all(m <= mults[g] for g, m in a.items):
+                ak = layout.pack(a.items)
                 by_pivot[layout.lowest_field(ak)].setdefault(a.length, []).append(ak)
         tick = NodeCounter().tick
-        pending: dict[int, dict[int, int]] = {sum(mults): {top: 1}}
-        for s in range(sum(mults), 0, -1):
+        size = sum(mults.values())
+        pending: dict[int, dict[int, int]] = {size: {top: 1}}
+        for s in range(size, 0, -1):
             cur = pending.pop(s, None)
             if not cur:
                 continue
             self.nodes += len(cur)
             tick(len(cur))
-            steps: list = [None] * len(support)
+            steps: list = [None] * len(core)
             for state, mask in cur.items():
                 pivot = ((state & -state).bit_length() - 1) // bits
                 pairs = steps[pivot]
@@ -379,7 +377,7 @@ class LengthEngine:
                 high = state | guard
                 for ak, tgt in pairs:
                     nk = high - ak
-                    if nk & guard == guard:  # A divides T
+                    if nk & guard == guard:  # A | T: no guard bit was borrowed
                         nk ^= guard
                         tgt[nk] = tgt.get(nk, 0) | shifted
         return pending[0][0]

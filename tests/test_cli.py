@@ -225,7 +225,7 @@ def test_node_budget_exit_code(capsys, monkeypatch):
     import zerolen.lengths
 
     # fresh engines, so that no memo filled by an earlier test answers the query
-    monkeypatch.setattr(zerolen.lengths, "_ENGINES", {})
+    zerolen.lengths.engine_for.cache_clear()
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "10")
     code = main(["lengths", "5", "(1)^5*(2)^5*(3)^5*(4)^5"])
     err = capsys.readouterr().err
@@ -237,7 +237,7 @@ def test_atom_enumeration_budget_exit_code(capsys, monkeypatch):
     import zerolen.atoms
 
     # a fresh catalog cache, so that C2^4 is enumerated under the budget
-    monkeypatch.setattr(zerolen.atoms, "_CATALOGS", {})
+    zerolen.atoms._catalog.cache_clear()
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "100")
     assert main(["atoms", "2x2x2x2"]) == 3
     err = capsys.readouterr().err

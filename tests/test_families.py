@@ -60,7 +60,8 @@ def test_intersection_witnesses_across_groups():
 
 def test_presentation_equivalences():
     for pair in ("T41", "T47-L2", "T48-L3"):
-        rep = presentation_equivalence(pair, bound=30)
+        rep = presentation_equivalence(pair)
+        assert rep.bound == 30
         assert rep.equal, (pair, rep.only_first[:3], rep.only_second[:3])
     with pytest.raises(ValueError):
         presentation_equivalence("T99")

@@ -9,6 +9,7 @@ from zerolen import (
     Sequence,
     delta,
     engine_for,
+    enumerate_atoms,
     is_aamp,
     make_group,
     parse_sequence,
@@ -96,6 +97,19 @@ def test_descent_visits_fewer_states_than_the_upward_sweep():
     witness = parse_sequence(g16, T48_L3_K10)
     assert eng.length_set(witness) == tuple(range(7, 18))
     assert eng.nodes == 1441
+
+
+def test_equal_groups_share_one_engine_and_one_catalog():
+    # the caches key on group equality, not identity, and on the canonical
+    # subset, not the order or repeats it was given in
+    G, H = make_group([2, 2, 2, 2]), make_group([2, 2, 2, 2])
+    assert G is not H
+    assert engine_for(G) is engine_for(H)
+    assert enumerate_atoms(G) is enumerate_atoms(H)
+    subset = G.nonzero_elements[:6]
+    catalog = enumerate_atoms(G, subset)
+    assert enumerate_atoms(H, subset[::-1] + subset) is catalog
+    assert catalog.subset == subset
 
 
 def test_rejects_non_zero_sum():

@@ -3,7 +3,7 @@ from itertools import product as iproduct
 
 import pytest
 
-import zerolen.lengths
+import zerolen.groups
 from zerolen import (
     LengthEngine,
     Sequence,
@@ -269,7 +269,7 @@ def test_a_refused_tree_falls_back_to_the_plain_sweep(monkeypatch):
     # with the threshold below |Aut(C2^3)| = 168, orbit_sweep sweeps plainly
     # and never builds the tree; the system is the tree path's
     orbits = bounded_system(make_group([2, 2, 2]), None, 12)
-    monkeypatch.setattr(zerolen.lengths, "MAX_TREE_AUTOMORPHISMS", 100)
+    monkeypatch.setattr(zerolen.groups, "MAX_TREE_AUTOMORPHISMS", 100)
     G = make_group([2, 2, 2])
     plain = bounded_system(G, None, 12)
     assert plain.length_sets() == orbits.length_sets()
