@@ -37,8 +37,11 @@ distinct child and one per stabilizer.
 ``LengthEngine.length_set`` runs the pivot rule downward instead.  It
 starts from B's zero-free core and takes states in decreasing size.  A
 state holds the bitmask of the lengths of the pivot paths from B down to
-it, and the empty state ends up holding L(B).  So the engine reaches only
-the divisors of B on such a path, and packs only the atoms dividing B.
+it, and the empty state ends up holding L(B).  Each pivot field has one
+closing atom: a path removes the field's other atoms one at a time, then
+every copy of the closing atom the field still holds in one step.  So the
+engine reaches only the divisors of B on such a path, and packs only the
+atoms dividing B.
 Only the core's mask is memoized, in the one engine per group that the
 cached ``engine_for`` hands every caller.  Zeros are re-added as a shift.
 Length sets travel as sorted tuples.
@@ -139,10 +142,11 @@ def packed_sweep(
     bitmask.  Levels are yielded in size order and dropped by the sweep once
     expanded, so a caller keeps only what it stores.  The sweep's own budget
     counter ticks once per state as a level is expanded, after the caller
-    has received that level.
+    has received that level.  A push is made only when the atom fits under
+    ``limit``, so no field exceeds it and the fields are sized by it.
     """
     catalog = enumerate_atoms(group, support)
-    layout = PackedLayout(group, support, limit + catalog.davenport)
+    layout = PackedLayout(group, support, limit)
     atoms = sorted(
         (a.length, layout.pack(a.items)) for a in catalog if a.length <= limit
     )
@@ -218,7 +222,7 @@ def orbit_sweep(
     except ResourceLimitError:
         return packed_sweep(group, support, limit)
     catalog = enumerate_atoms(group)
-    layout = PackedLayout(group, support, limit + catalog.davenport)
+    layout = PackedLayout(group, support, limit)  # sized as packed_sweep sizes it
     position = {g: p for p, g in enumerate(support)}
     # atoms by length, shortest first; an atom is its positions in ascending
     # order, each repeated by multiplicity, and its packed state
@@ -333,28 +337,53 @@ class LengthEngine:
     def _sweep_mask(self, core: tuple) -> int:
         """Length bitmask of the core by a descent from it along pivot atoms.
 
-        P(core) = {0}; states are taken in decreasing size, and a state T
-        whose lowest nonzero field is p passes P(T) << 1 to T - A for each
-        atom A | T whose lowest field is p.  Then P(empty) = L(core): each
-        factorization, its atoms ordered by lowest field, is one such path,
-        and each path is a factorization.  Only the next D(G) levels are
-        pending at a time, and nothing recurses.  The budget covers this one
-        descent; ``nodes`` adds each level above the empty one as it is taken,
-        the descent's own charge for it, even when the budget runs out.
-        Only the atoms dividing the core are packed, and every state divides
-        it, so the fields are sized by the core's largest multiplicity.
+        P(core) = {0}, and states are taken in decreasing size.  Each pivot
+        field p has one closing atom C among the atoms dividing the core
+        whose lowest field is p: the one of least multiplicity in field p,
+        then the longest, then the first in catalog order.  A state T whose
+        lowest nonzero field is p passes P(T) << 1 to T - A for each other
+        such atom A | T (a free atom), and P(T) << c to T - c·C when
+        c = T[p] / C[p] is an integer and c·C | T.  Then P(empty) = L(core):
+        the pivot-p atoms of a factorization are some free atoms and c
+        copies of C, taken one free atom at a time and then all c copies of
+        C in one step, so each factorization, its atoms ordered by lowest
+        field, is such a path, and each path is a factorization.  Each state
+        is one that a descent by one atom per step reaches before it uses C,
+        so no query takes more states than that descent.  A closing step may
+        skip many levels, so any level below the current one may be pending;
+        nothing recurses.  The budget covers this one descent; ``nodes`` adds
+        each level above the empty one as it is taken, the descent's own
+        charge for it, even when the budget runs out.  Only the atoms
+        dividing the core are packed, and every state divides it, so the
+        fields are sized by the core's largest multiplicity.
         """
         mults = dict(core)
         layout = PackedLayout(self.group, tuple(mults), max(mults.values()))
         guard, bits = layout.guard, layout.bits
+        field = (1 << bits) - 1
         top = layout.pack(core)
         # by_pivot[p]: the atoms dividing the core whose lowest field is p,
-        # as (length, atoms) buckets
-        by_pivot: list[dict[int, list[int]]] = [{} for _ in core]
+        # in catalog order
+        by_pivot: list[list[tuple[Sequence, int]]] = [[] for _ in core]
         for a in enumerate_atoms(self.group, layout.support):
             if all(m <= mults[g] for g, m in a.items):
                 ak = layout.pack(a.items)
-                by_pivot[layout.lowest_field(ak)].setdefault(a.length, []).append(ak)
+                by_pivot[layout.lowest_field(ak)].append((a, ak))
+        # free[p]: the pivot-p atoms but the closing one C, as (length,
+        # atoms) buckets; closing[p]: (C[p], the most copies of C dividing
+        # the core, C, |C|), or None when no atom has lowest field p
+        free: list[dict[int, list[int]]] = [{} for _ in core]
+        closing: list = [None] * len(core)
+        for p, atoms in enumerate(by_pivot):
+            if not atoms:
+                continue
+            low = p * bits
+            close, ck = min(atoms, key=lambda a: (a[1] >> low & field, -a[0].length))
+            most = min(mults[g] // m for g, m in close.items)
+            closing[p] = (ck >> low & field, most, ck, close.length)
+            for a, ak in atoms:
+                if ak != ck:
+                    free[p].setdefault(a.length, []).append(ak)
         tick = NodeCounter().tick
         size = sum(mults.values())
         pending: dict[int, dict[int, int]] = {size: {top: 1}}
@@ -370,7 +399,7 @@ class LengthEngine:
                 pairs = steps[pivot]
                 if pairs is None:
                     pairs = steps[pivot] = []
-                    for alen, aks in by_pivot[pivot].items():
+                    for alen, aks in free[pivot].items():
                         if alen <= s:
                             pairs += zip(aks, repeat(pending.setdefault(s - alen, {})))
                 shifted = mask << 1
@@ -380,6 +409,18 @@ class LengthEngine:
                     if nk & guard == guard:  # A | T: no guard bit was borrowed
                         nk ^= guard
                         tgt[nk] = tgt.get(nk, 0) | shifted
+                close = closing[pivot]
+                if close is None:
+                    continue
+                cp, most, ck, clen = close
+                c, rest = divmod(state >> pivot * bits & field, cp)
+                if rest or c > most:  # c·C fits every field only up to most
+                    continue
+                nk = high - c * ck
+                if nk & guard == guard:
+                    nk ^= guard
+                    tgt = pending.setdefault(s - c * clen, {})
+                    tgt[nk] = tgt.get(nk, 0) | mask << c
         return pending[0][0]
 
     def max_length_with_length2_atom(self, seq: Sequence, atom2: Sequence) -> int:

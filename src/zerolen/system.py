@@ -110,8 +110,14 @@ def bounded_system(
     ``subset`` is None or the nonzero elements, for the system of G∖{0}, or
     all of G, whose zero element is handled by the shift rule
     L(0^y B) = y + L(B) rather than enumerated; any other subset is a
-    ValueError.  The sweep is ``lengths.orbit_sweep``.
+    ValueError.  The sweep is ``lengths.orbit_sweep``.  An int ``subset``
+    is a TypeError, as it is a bound passed in the wrong place.
     """
+    if isinstance(subset, int):
+        raise TypeError(
+            f"bounded_system: subset must be None or a collection of elements, "
+            f"not {subset!r}; pass the bound as bound={subset!r}"
+        )
     bound = resolve_bound(group, bound)
     elems = (
         group.nonzero_elements if subset is None else group.canonical_subset(subset)

@@ -76,7 +76,8 @@ def test_node_budget_covers_one_query(monkeypatch):
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "30")
     g5 = make_group([5])
     eng = LengthEngine(g5)
-    for text in ("(1)^10*(4)^10", "(2)^10*(3)^10", "(1)^5*(4)^5", "(2)^5*(3)^5"):
+    # 16, 16 and 29 states: each query fits the budget, the three do not
+    for text in ("(1)^40*(4)^40", "(2)^40*(3)^40", "(1)^6*(2)^2*(3)^2*(4)^6"):
         before = eng.nodes
         assert eng.length_set(parse_sequence(g5, text))
         assert 0 < eng.nodes - before <= 30
@@ -87,16 +88,29 @@ def test_node_budget_covers_one_query(monkeypatch):
 
 def test_descent_visits_fewer_states_than_the_upward_sweep():
     # the upward sweep capped by B's multiplicities took 12,601 states on
-    # the n = 50 ladder and 32,574 on the T48:L3 witness at k = 10
+    # the n = 50 ladder and 32,574 on the T48:L3 witness at k = 10; the
+    # descent by one atom per step took 6,425 and 1,441
     g5 = make_group([5])
     eng = LengthEngine(g5)
     assert eng.length_set(Sequence.build(g5, {(1,): 250, (4,): 250}))[0] == 100
-    assert eng.nodes == 6425
+    assert eng.nodes == 100
     g16 = make_group([2, 2, 2, 2])
     eng = LengthEngine(g16)
     witness = parse_sequence(g16, T48_L3_K10)
     assert eng.length_set(witness) == tuple(range(7, 18))
-    assert eng.nodes == 1441
+    assert eng.nodes == 1166
+
+
+def test_n_2000_ladder_fits_a_budget_of_5000_states(monkeypatch):
+    # (1)^10000·(4)^10000 over C5: (1)^5 steps reach (1)^(10000-5j)·(4)^10000,
+    # one closing step by copies of (1)(4) takes each to (4)^(5j), and one by
+    # copies of (4)^5 takes that to the empty state
+    monkeypatch.setenv("ZEROLEN_MAX_NODES", "5000")
+    g5 = make_group([5])
+    eng = LengthEngine(g5)
+    B = Sequence.build(g5, {(1,): 10000, (4,): 10000})
+    assert eng.length_set(B) == tuple(range(4000, 10001, 3))
+    assert eng.nodes == 4000
 
 
 def test_equal_groups_share_one_engine_and_one_catalog():
