@@ -239,6 +239,13 @@ class AutomorphismTree:
     (getter, children); the getter reads the node's block of v∘φ from a
     vector v over positions, and a leaf's children are the full permutation
     tuple, with (v∘φ)[p] = v[φ[p]].
+
+    The levels are a stabilizer chain (Seress, *Permutation Group
+    Algorithms*, 2003): the automorphisms below the identity's level-j node
+    fix the first j generators, and its children are their images of the
+    next one.  ``canonical_form`` reads the largest image of a vector
+    breadth-first, and ``transversals`` gives the stabilizer of a canonical
+    vector as one transversal per level, never as a list of its elements.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -253,11 +260,12 @@ class AutomorphismTree:
         slot = {g: p for p, g in enumerate(elems)}
         add = [[slot[group.add(a, b)] for b in elems] for a in elems]
         self.size = zero = len(elems) - 1
-        # a block of one position reads an int, a longer one a tuple
-        self._lows = []
+        # per level: the low value of its block (a block of one position
+        # reads an int, a longer one a tuple) and the position ending it
+        self._levels = []
         span = 1
         for n in factors:
-            self._lows.append(-1 if (n - 1) * span == 1 else ())
+            self._levels.append((-1 if (n - 1) * span == 1 else (), n * span - 1))
             span *= n
         # the candidate images of a generator of order n: each element h of
         # order n, with its multiples h, 2h, ..., (n - 1)h
@@ -295,16 +303,32 @@ class AutomorphismTree:
             raise AssertionError(
                 f"Aut({group.label}): {leaves} != {group.automorphism_count}"
             )
+        # the identity's path: per level, its node's children and the index
+        # of the identity's child, whose block is a run of positions in order
+        ident = list(range(zero))
+        self._spine = []
+        kids, start = self._root, 0
+        for low, end in self._levels:
+            run = start if low == -1 else tuple(range(start, end))
+            i = next(i for i, (get, _) in enumerate(kids) if get(ident) == run)
+            self._spine.append((kids, i))
+            kids, start = kids[i][1], end
+        self._identity = tuple(ident)
 
-    def canonical(self, v) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-        """The largest image v∘φ, and every φ that reaches it.
+    def canonical_form(self, v) -> tuple[int, ...]:
+        """The largest image v∘φ over Aut(G), as a tuple.
 
         Breadth-first, level by level: a branch survives while its blocks
         tie with the best so far, and is cut as soon as one falls below.
-        When v is its own canonical form the survivors are Stab(v).
+        The form is the best block of each level in turn.  Once the best
+        prefix holds every nonzero entry of v, every surviving completion
+        is zeros, so the search stops there; until the prefix is as long as
+        v's nonzero count, that test is one comparison per level.
         """
+        nonzero = self.size - v.count(0)
         frontier = [self._root]
-        for best in self._lows:
+        bests = []
+        for best, end in self._levels:
             keep = []
             for kids in frontier:
                 for get, sub in kids:
@@ -314,4 +338,51 @@ class AutomorphismTree:
                     elif val == best:
                         keep.append(sub)
             frontier = keep
-        return tuple(map(v.__getitem__, frontier[0])), frontier
+            bests.append(best)
+            if end >= nonzero:
+                form = []
+                for b in bests:
+                    if b.__class__ is int:
+                        form.append(b)
+                    else:
+                        form += b
+                if end - form.count(0) == nonzero:
+                    return tuple(form) + (0,) * (self.size - end)
+        return ()  # the trivial group: no positions
+
+    def transversals(self, v) -> list[list[tuple[int, ...]]]:
+        """Stab(v) of a canonical v as transversals U_0, ..., U_{k-1}.
+
+        Stab(v) = U_0·U_1···U_{k-1}: U_j holds the identity and, for each
+        other child of the identity's level-j node that still reads v's
+        block j, one leaf below it whose every block reads v's.  Each leaf
+        of U_j fixes the first j generators, so the orbit of a point under
+        Stab(v) is grown through U_{k-1}, ..., U_0.  v must be its own
+        canonical form, so a branch that ties v's blocks is never beaten.
+        The search below a child stops at its first such leaf.
+        """
+        wants = [kids[i][0](v) for kids, i in self._spine]
+        out = []
+        for j, (kids, i) in enumerate(self._spine):
+            u = [self._identity]
+            want = wants[j]
+            for c, (get, sub) in enumerate(kids):
+                if c != i and get(v) == want:
+                    leaf = _tying_leaf(sub, v, wants, j + 1)
+                    if leaf is not None:
+                        u.append(leaf)
+            out.append(u)
+        return out
+
+
+def _tying_leaf(kids, v, wants, depth):
+    """The first leaf below ``kids`` whose blocks from ``depth`` on read ``wants``."""
+    if depth == len(wants):
+        return kids
+    want = wants[depth]
+    for get, sub in kids:
+        if get(v) == want:
+            leaf = _tying_leaf(sub, v, wants, depth + 1)
+            if leaf is not None:
+                return leaf
+    return None

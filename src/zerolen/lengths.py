@@ -29,10 +29,15 @@ pushes that differ by an element of Stab(R) land in one orbit, so one
 atom per Stab(R)-orbit suffices.  A representative is a zero-sum
 multiset of the same size with the same lengths as every member of its
 orbit, so it is a valid witness with the same minimal length.  Each distinct
-child is canonicalized once, when its level is complete, and Stab(R) with
-its atom orbits is shared by every R whose equal multiplicities sit at the
-same positions.  Its budget counts canonical forms, not states: one per
-distinct child and one per stabilizer.
+child is canonicalized once, when its level is complete, to its largest
+image alone (``AutomorphismTree.canonical_form``), and Stab(R) with its atom
+orbits is shared by every R whose equal multiplicities sit at the same
+positions.  Stab(R) is held as the transversals of the automorphism tree's
+stabilizer chain, and an atom's orbit is grown through them, so the
+symmetry work scales with the transversals, not with |Stab(R)|.  Its fields
+are whole bytes, so a state becomes a vector by ``int.to_bytes`` and a form
+a state by ``int.from_bytes``.  Its budget counts canonical forms, not
+states: one per distinct child and one per stabilizer.
 
 ``LengthEngine.length_set`` runs the pivot rule downward instead.  It
 starts from B's zero-free core and takes states in decreasing size.  A
@@ -49,9 +54,11 @@ Length sets travel as sorted tuples.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -89,15 +96,34 @@ class PackedLayout:
 
     Field i holds the multiplicity of ``support[i]`` in ``bits - 1`` value
     bits, with one guard bit above them.  Every reader of a sweep goes
-    through this class for anything positional.
+    through this class for anything positional.  With ``whole_bytes`` each
+    field is widened to 1, 2, 4 or 8 bytes, so ``vector`` and ``state`` turn
+    a state into its fields and back by ``int.to_bytes`` and
+    ``int.from_bytes``; the size cap is set for the unwidened fields.
     """
 
     def __init__(
-        self, group: FiniteAbelianGroup, support: tuple[Element, ...], width: int
+        self,
+        group: FiniteAbelianGroup,
+        support: tuple[Element, ...],
+        width: int,
+        whole_bytes: bool = False,
     ):
         bits = width.bit_length() + 1  # values up to width, then the guard bit
         if bits * len(support) > 600:  # keeps keys to a few machine words
             raise ResourceLimitError("support too large for the packed sweep")
+        if whole_bytes:
+            size = 1 << max(bits - 1, 7).bit_length() - 3  # bytes per field
+            self._nbytes, self._array = size * len(support), None
+            if size > 1:
+                # an array reads fields past one byte; loaded only for them
+                from array import array
+
+                code = next((c for c in "HILQ" if array(c).itemsize == size), None)
+                if code is None:
+                    raise ResourceLimitError("fields too wide for whole bytes")
+                self._array = partial(array, code)
+            bits = 8 * size
         self.group = group
         self.support = support
         self.bits = bits
@@ -105,6 +131,26 @@ class PackedLayout:
         self.guard = sum(1 << (p + bits - 1) for p in self._pos.values())
         # a field plus 2^(bits-1) - 1 carries into its guard bit iff it is nonzero
         self._fill = self.guard - (self.guard >> (bits - 1))
+
+    def vector(self, state: int):
+        """The fields of a state in support order, as bytes or an array of
+        one machine integer per field (whole-byte layouts only)."""
+        raw = state.to_bytes(self._nbytes, "little")
+        if self._array is None:
+            return raw
+        fields = self._array(raw)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        return fields
+
+    def state(self, fields) -> int:
+        """The state holding ``fields`` in support order (whole-byte layouts only)."""
+        if self._array is None:
+            return int.from_bytes(bytes(fields), "little")
+        raw = self._array(fields)
+        if sys.byteorder == "big":
+            raw.byteswap()
+        return int.from_bytes(raw, "little")
 
     def pack(self, pairs: Iterable[tuple[Element, int]]) -> int:
         """The state holding multiplicity m of g for each pair (g, m)."""
@@ -204,17 +250,19 @@ def orbit_sweep(
     """The levels 0..limit of the sweep over all nonzero elements, one
     state per Aut(G)-orbit.
 
-    Level s maps the canonical form (``AutomorphismTree.canonical``) of
-    each orbit of zero-sum multisets of size s to its length bitmask, packed
-    as ``packed_sweep`` packs it.  L(φB) = L(B) and φ maps atoms to atoms,
-    so the orbit of T is reached from the orbit of every S with S + A = T,
-    and one representative per orbit carries the whole orbit's lengths.
-    From a representative R only one atom per orbit of Stab(R) is pushed:
-    R + A∘φ = (R + A)∘φ for φ in Stab(R) lands in the same orbit.  The
-    budget ticks once per canonical form computed: once per distinct child
-    of a level, and once per stabilizer.  A group whose tree is refused
+    Level s maps the canonical form (``AutomorphismTree.canonical_form``)
+    of each orbit of zero-sum multisets of size s to its length bitmask,
+    packed in a whole-byte layout (each field 1, 2, 4 or 8 bytes wide).
+    L(φB) = L(B) and φ maps atoms to atoms, so the orbit of T is reached
+    from the orbit of every S with S + A = T, and one representative per
+    orbit carries the whole orbit's lengths.  From a representative R only
+    one atom per orbit of Stab(R) is pushed: R + A∘φ = (R + A)∘φ for φ in
+    Stab(R) lands in the same orbit.  Stab(R) is held as the transversals
+    of the tree's stabilizer chain, never listed.  The budget ticks once
+    per canonical form computed: once per distinct child of a level, and
+    once per stabilizer.  A group whose tree is refused
     (``group.automorphisms`` raises ``ResourceLimitError``) gets the plain
-    sweep, one state per multiset.
+    sweep, one state per multiset, in ``packed_sweep``'s layout.
     """
     support = group.nonzero_elements
     try:
@@ -222,7 +270,7 @@ def orbit_sweep(
     except ResourceLimitError:
         return packed_sweep(group, support, limit)
     catalog = enumerate_atoms(group)
-    layout = PackedLayout(group, support, limit)  # sized as packed_sweep sizes it
+    layout = PackedLayout(group, support, limit, whole_bytes=True)
     position = {g: p for p, g in enumerate(support)}
     # atoms by length, shortest first; an atom is its positions in ascending
     # order, each repeated by multiplicity, and its packed state
@@ -232,26 +280,28 @@ def orbit_sweep(
             ps = tuple(position[g] for g, m in a.items for _ in range(m))
             by_length.setdefault(a.length, []).append((ps, layout.pack(a.items)))
     buckets = sorted(by_length.items())
-    return layout, _orbit_levels(tree, buckets, layout.bits, limit)
+    return layout, _orbit_levels(tree, buckets, layout, limit)
 
 
-def _orbit_levels(tree, buckets, bits, limit):
+def _orbit_levels(tree, buckets, layout, limit):
     """Yield each level of representatives once complete, then expand it.
 
     A pending level holds the packed children in push order, and each
-    distinct child is canonicalized once, when its level is complete.  The
-    first child pushed into an orbit is also the first of that orbit in
-    push order, so every orbit keeps the place it would get if each push
-    were canonicalized at once.  Stab(R) depends only on which positions of
-    R share a multiplicity (R's split), so it is computed once per split,
-    and its orbits on the atoms of one length once per split and length
-    (an automorphism keeps an atom's length).
+    distinct child is canonicalized once, when its level is complete: its
+    fields are read as bytes (``layout.vector``), its form is the largest
+    image alone, with no list of the automorphisms that reach it, and the
+    form is packed back by ``layout.state``.  The first child pushed into an
+    orbit is also the first of that orbit in push order, so every orbit
+    keeps the place it would get if each push were canonicalized at once.
+    Stab(R) depends only on which positions of R share a multiplicity (R's
+    split), so its transversals are computed once per split, and its orbits
+    on the atoms of one length once per split and length (an automorphism
+    keeps an atom's length).
     """
     tick = NodeCounter().tick
-    canonical = tree.canonical
-    field = (1 << bits) - 1
-    offsets = range(0, tree.size * bits, bits)
-    stabs: dict[tuple, list] = {}  # split -> Stab(R)
+    canonical_form, transversals = tree.canonical_form, tree.transversals
+    vector, state_of = layout.vector, layout.state
+    stabs: dict[tuple, list] = {}  # split -> transversals of Stab(R)
     orbits: dict[tuple, list[int]] = {}  # (split, length) -> one atom per orbit
     pending: dict[int, dict[int, int]] = {0: {0: 1}}  # size -> child -> mask
     for s in range(limit + 1):
@@ -259,12 +309,9 @@ def _orbit_levels(tree, buckets, bits, limit):
         tick(len(children))
         reps: dict[tuple, int] = {}
         for child, mask in children.items():
-            rep, _ = canonical([child >> o & field for o in offsets])
+            rep = canonical_form(vector(child))
             reps[rep] = reps.get(rep, 0) | mask
-        level = {
-            sum(m << o for m, o in zip(rep, offsets)): mask
-            for rep, mask in reps.items()
-        }
+        level = {state_of(rep): mask for rep, mask in reps.items()}
         yield level
         room = limit - s
         if not buckets or buckets[0][0] > room:
@@ -276,7 +323,7 @@ def _orbit_levels(tree, buckets, bits, limit):
             stab = stabs.get(split)
             if stab is None:
                 tick(1)
-                stab = stabs[split] = canonical(rep)[1]
+                stab = stabs[split] = transversals(rep)
             shifted = mask << 1
             for alen, atoms in buckets:
                 if alen > room:
@@ -291,19 +338,40 @@ def _orbit_levels(tree, buckets, bits, limit):
 
 
 def _one_per_orbit(atoms, stab) -> list[int]:
-    """The packed state of the first atom of each orbit of ``stab`` on ``atoms``.
+    """The packed state of the first atom of each orbit of Stab on ``atoms``.
 
-    Each atom is (positions, packed state); its image under φ is the sorted
-    tuple of φ's images of its positions.
+    ``stab`` is Stab = U_0·U_1···U_{k-1} as its transversals.  Each atom is
+    (positions, packed state); its image under φ is the sorted tuple of φ's
+    images of its positions.  An atom's orbit is grown through U_{k-1},
+    ..., U_0, each step imaging the orbit so far by one transversal: about
+    |orbit|·Σ|U_j| images.  When |Stab| is no more than Σ|U_j|, the images
+    of one atom under all of Stab cost no more, so Stab is listed and each
+    orbit is taken at once.
     """
-    if len(stab) == 1:
+    us = [u for u in stab if len(u) > 1]
+    if not us:
         return [ak for _, ak in atoms]
+    order = math.prod(map(len, us))
     seen: set[tuple[int, ...]] = set()
     out = []
+    if order <= sum(map(len, us)):
+        elems = us[-1]
+        for u in reversed(us[:-1]):
+            elems = [tuple(map(phi.__getitem__, psi)) for phi in u for psi in elems]
+        for ps, ak in atoms:
+            if ps not in seen:
+                out.append(ak)
+                seen.update(map(tuple, map(sorted, map(itemgetter(*ps), elems))))
+        return out
+    steps = [u[1:] for u in reversed(us)]  # u[0] is the identity
     for ps, ak in atoms:
         if ps not in seen:
             out.append(ak)
-            seen.update(map(tuple, map(sorted, map(itemgetter(*ps), stab))))
+            orbit = {ps}
+            for u in steps:
+                for qs in list(orbit):
+                    orbit.update(map(tuple, map(sorted, map(itemgetter(*qs), u))))
+            seen |= orbit
     return out
 
 

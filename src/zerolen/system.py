@@ -288,12 +288,12 @@ def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
                     least[key] = d
 
     tick = NodeCounter().tick
-    canonical = tree.canonical
+    canonical_form, transversals = tree.canonical_form, tree.transversals
     positions = range(len(layout.support))
     mu: dict[tuple[int, ...], int] = {}  # canonical support -> least distance
     tick(len(least))
     for key, d in least.items():
-        c, _ = canonical(layout.key_vector(key))
+        c = canonical_form(layout.key_vector(key))
         if d < mu.get(c, d + 1):
             mu[c] = d
     floor = min(mu.values(), default=0)
@@ -305,13 +305,17 @@ def _delta_star_from(layout, levels, tree) -> tuple[int, ...]:
             got = mu.get(c, math.inf)
             if got > floor:
                 tick(1)
-                stab = canonical(c)[1]  # c is canonical: the survivors are Stab(c)
+                # c is canonical; its position orbits grow through U_{k-1}, ..., U_0
+                steps = [u[1:] for u in reversed(transversals(c))]
                 done: set[int] = set()
                 for x in positions:
                     if c[x] and x not in done:
-                        done.update(phi[x] for phi in stab)
+                        orbit = {x}
+                        for u in steps:
+                            orbit.update([phi[y] for phi in u for y in orbit])
+                        done |= orbit
                         tick(1)
-                        child, _ = canonical(c[:x] + (0,) + c[x + 1 :])
+                        child = canonical_form(c[:x] + (0,) + c[x + 1 :])
                         got = min(got, descend(child))
                         if got == floor:
                             break

@@ -6,8 +6,11 @@ the memoized recursion and the packed sweep of the package under test.  The
 only shared ingredient is elementwise group arithmetic.  The numerical-monoid
 oracles work on plain sets of lengths, never on the package's bitmask table.
 The orbit-sweep reference is one exception: it is the reference for the
-sweep's step only, so it reads the atom catalog and the automorphism tree,
-which are checked against ``naive_atoms`` and ``naive_automorphisms``.  The
+sweep's step only, so it reads the atom catalog and the automorphism tree's
+nodes, which are checked against ``naive_atoms`` and
+``naive_automorphisms``.  Its canonical forms and stabilizers come from its
+own survivor-listing search (``survivor_canonical``), not from the tree's
+``canonical_form`` and ``transversals``.  The
 oracles that read the package's plain sweep, which the tests check against
 ``naive_lengths``, are the others: the plain-sweep Delta*
 (``plain_sweep_delta_star``) and the least distance over one subset
@@ -162,6 +165,9 @@ def naive_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
     """
     elems = group.elements
     index = {g: i for i, g in enumerate(elems)}
+    # the group's tables by index: add[i][k] and times[c][i] = c * elems[i]
+    add = [[index[group.add(a, b)] for b in elems] for a in elems]
+    times = [[index[group.scale(c, h)] for h in elems] for c in range(group.exponent)]
     out = set()
     for images in product(elems, repeat=group.rank):
         if any(
@@ -169,15 +175,39 @@ def naive_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
             for n, h in zip(group.invariant_factors, images)
         ):
             continue
+        hs = [index[h] for h in images]
         values = []
         for x in elems:
-            acc = group.zero
-            for c, h in zip(x, images):
-                acc = group.add(acc, group.scale(c, h))
-            values.append(index[acc])
+            acc = 0
+            for c, h in zip(x, hs):
+                acc = add[acc][times[c][h]]
+            values.append(acc)
         if len(set(values)) == len(elems):
             out.add(tuple(v - 1 for v in values[1:]))
     return out
+
+
+def survivor_canonical(tree, v) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The largest image v∘φ over the tree's automorphisms, and every φ reaching it.
+
+    Breadth-first over every level, with no early stop: a branch survives
+    while its blocks tie with the best so far.  When v is its own canonical
+    form the survivors are Stab(v), listed element by element.  It shares
+    only the tree's nodes with ``AutomorphismTree``, and the tests check it
+    against ``naive_automorphisms``.
+    """
+    frontier = [tree._root]
+    for best, _ in tree._levels:
+        keep = []
+        for kids in frontier:
+            for get, sub in kids:
+                val = get(v)
+                if val > best:
+                    best, keep = val, [sub]
+                elif val == best:
+                    keep.append(sub)
+        frontier = keep
+    return tuple(v[p] for p in frontier[0]), frontier
 
 
 def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
@@ -185,9 +215,10 @@ def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
 
     Each representative R is canonicalized for its stabilizer, one atom of
     each Stab(R)-orbit is found by taking that atom's image under every
-    element of Stab(R), and every child is canonicalized as it is pushed.
-    Levels map packed canonical forms (``bits`` per field) to length masks,
-    in the order their first child was pushed; no budget is kept.
+    element of Stab(R), and every child is canonicalized as it is pushed,
+    all by ``survivor_canonical``.  Levels map packed canonical forms
+    (``bits`` per field) to length masks, in the order their first child
+    was pushed; no budget is kept.
     """
     tree = group.automorphisms
     support = group.nonzero_elements
@@ -206,7 +237,7 @@ def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
         }
         fit = [a for a in atoms if a[0] <= limit - s]
         for rep, mask in cur.items():
-            _, stab = tree.canonical(rep)
+            _, stab = survivor_canonical(tree, rep)
             seen: set[int] = set()
             for alen, ps in fit:
                 if sum(weight[p] for p in ps) in seen:
@@ -216,7 +247,7 @@ def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):
                 child = list(rep)
                 for p in ps:
                     child[p] += 1
-                key, _ = tree.canonical(child)
+                key, _ = survivor_canonical(tree, child)
                 tgt = pending.setdefault(s + alen, {})
                 tgt[key] = tgt.get(key, 0) | mask << 1
 

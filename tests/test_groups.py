@@ -1,4 +1,6 @@
+import math
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from zerolen import davenport_lower_bound, invariant_factors, make_group, parse_group
 from zerolen.budget import ResourceLimitError
 
-from oracles import naive_automorphisms
+from oracles import naive_automorphisms, survivor_canonical
 
 
 def test_invariant_factor_normalization():
@@ -83,13 +85,18 @@ _SMALL_GROUPS = (
 )
 
 
+@cache
+def _naive_automorphisms(factors: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return sorted(naive_automorphisms(make_group(factors)))
+
+
 @pytest.mark.parametrize("factors", _SMALL_GROUPS)
 def test_automorphism_tree_holds_every_automorphism(factors):
     G = make_group(factors)
     naive = naive_automorphisms(G)
     assert G.automorphism_count == len(naive)
     # on the zero vector every branch ties, so every leaf survives
-    _, leaves = G.automorphisms.canonical([0] * (G.order - 1))
+    _, leaves = survivor_canonical(G.automorphisms, [0] * (G.order - 1))
     assert len(leaves) == len(naive) and set(leaves) == naive
 
 
@@ -102,19 +109,62 @@ def test_automorphism_count_closed_form():
         make_group([2] * 5).automorphisms  # too many to hold as a tree
 
 
-@pytest.mark.parametrize("factors", [[2, 4], [3, 3], [2, 2, 2], [2, 2, 4]])
+def _random_vectors(size: int, rng: random.Random):
+    """Sparse vectors (one to three nonzero entries, so the canonical form
+    stops once its prefix holds them) and dense ones."""
+    for _ in range(12):
+        v = [0] * size
+        for p in rng.sample(range(size), min(size, rng.randint(1, 3))):
+            v[p] = rng.randint(1, 3)
+        yield v
+    for _ in range(8):
+        yield [rng.choice((0, 1, 1, 2, 3)) for _ in range(size)]
+
+
+@pytest.mark.parametrize("factors", [*_SMALL_GROUPS, [2, 2, 2, 2]])
 def test_canonical_form_is_the_largest_image(factors):
     G = make_group(factors)
-    naive = naive_automorphisms(G)
+    naive = _naive_automorphisms(tuple(factors))
     tree = G.automorphisms
-    rng = random.Random(0)
-    for _ in range(40):
-        v = [rng.choice((0, 0, 1, 2)) for _ in range(G.order - 1)]
+    for v in _random_vectors(G.order - 1, random.Random(0)):
         images = {q: tuple(v[i] for i in q) for q in naive}
         best = max(images.values())
-        canon, reach = tree.canonical(v)
+        assert tree.canonical_form(v) == best
+        assert tree.canonical_form(bytes(v)) == best
+        # the survivor-listing oracle against the brute force: its form, and
+        # every automorphism reaching it
+        canon, reach = survivor_canonical(tree, v)
         assert canon == best
         assert set(reach) == {q for q, img in images.items() if img == best}
-        # on its own canonical form the survivors are the stabilizer
-        _, stab = tree.canonical(list(canon))
-        assert set(stab) == {q for q in naive if tuple(canon[i] for i in q) == canon}
+
+
+@pytest.mark.parametrize("factors", [*_SMALL_GROUPS, [2, 2, 2, 2]])
+def test_transversals_multiply_to_the_stabilizer(factors):
+    G = make_group(factors)
+    naive = _naive_automorphisms(tuple(factors))
+    tree = G.automorphisms
+    for v in _random_vectors(G.order - 1, random.Random(1)):
+        canon = tree.canonical_form(v)
+        stab = {q for q in naive if tuple(canon[i] for i in q) == canon}
+        us = tree.transversals(canon)
+        assert all(u[0] == tuple(range(G.order - 1)) for u in us)
+        # (φ∘ψ)[p] = φ[ψ[p]]; every product u_0∘...∘u_{k-1} is distinct
+        elems = [tuple(range(G.order - 1))]
+        for u in reversed(us):
+            elems = [tuple(phi[p] for p in psi) for phi in u for psi in elems]
+        assert len(elems) == math.prod(map(len, us)) == len(stab)
+        assert set(elems) == stab
+        _, survivors = survivor_canonical(tree, canon)
+        assert set(survivors) == stab
+
+
+def test_zero_vector_transversals_of_c2_4():
+    # GL(4,2): 15 images of e_1, then 14, 12 and 8 of e_2, e_3, e_4
+    us = make_group([2, 2, 2, 2]).automorphisms.transversals((0,) * 15)
+    assert [len(u) for u in us] == [15, 14, 12, 8]
+    assert math.prod(map(len, us)) == 20160
+
+
+def test_transversals_of_the_trivial_group():
+    tree = make_group([]).automorphisms
+    assert tree.canonical_form(()) == () and tree.transversals(()) == []

@@ -16,6 +16,8 @@ from zerolen import (
     rho,
 )
 
+from zerolen.lengths import PackedLayout
+
 from oracles import naive_lengths
 
 
@@ -70,6 +72,19 @@ def test_too_wide_for_the_packed_sweep():
     g2 = make_group([2])
     with pytest.raises(ResourceLimitError):
         engine_for(g2).length_set(Sequence.build(g2, {(1,): 2**600}))
+
+
+def test_whole_byte_fields_keep_the_size_cap():
+    # 99 fields of 6 bits fit the 600-bit cap; widened to a byte each they
+    # would not, and the cap is set for the unwidened fields
+    G = make_group([100])
+    layout = PackedLayout(G, G.nonzero_elements, 31, whole_bytes=True)
+    assert layout.bits == 8
+    fields = bytes(range(99))
+    assert layout.vector(layout.state(fields)) == fields
+    for whole_bytes in (False, True):
+        with pytest.raises(ResourceLimitError):
+            PackedLayout(G, G.nonzero_elements, 32, whole_bytes=whole_bytes)
 
 
 def test_node_budget_covers_one_query(monkeypatch):

@@ -16,6 +16,7 @@ from zerolen import (
     observed_delta,
     rho_k,
 )
+from zerolen.budget import global_nodes
 from zerolen.lengths import mask_to_lengths, orbit_sweep, packed_sweep
 from zerolen.system import _delta_star_from, _rho_k_by_witness, _system_from
 
@@ -331,6 +332,36 @@ def test_orbit_sweep_matches_the_plain_sweep(factors, bound):
     assert sum(map(len, o_levels)) < sum(map(len, p_levels))
     for o_level, p_level in zip(o_levels, p_levels):
         assert set(o_level.values()) == set(p_level.values())
+
+
+@pytest.mark.parametrize("factors", [[2, 2], [4]])
+def test_orbit_sweep_with_fields_past_one_byte(factors):
+    # at bound 130 each field holds up to 130 and takes two bytes
+    G = make_group(factors)
+    o_layout, o_levels = orbit_sweep(G, 130)
+    assert o_layout.bits == 16
+    orbit = _system_from(G, False, 130, o_layout, o_levels)
+    plain = _system_from(G, False, 130, *_bounded_sweep(G, 130))
+    assert orbit.length_sets() == plain.length_sets()
+    assert [e.min_length for e in orbit.entries] == [
+        e.min_length for e in plain.entries
+    ]
+    eng = engine_for(G)
+    for entry in orbit.entries:
+        assert entry.witness.length == entry.min_length
+        assert eng.length_set(entry.witness) == entry.lengths
+
+
+def test_orbit_sweep_nodes_are_pinned():
+    # one tick per distinct child and one per stabilizer
+    G = make_group([2, 2, 2, 2])
+    enumerate_atoms(G)  # the catalog ticks a counter of its own
+    for bound, nodes in ((10, 324), (12, 1206)):
+        before = global_nodes()
+        _, levels = orbit_sweep(G, bound)
+        for _ in levels:
+            pass
+        assert global_nodes() - before == nodes
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ what a target checks.
 
 import pytest
 
-from zerolen import Sequence, make_group, run_verification
+from zerolen import Sequence, engine_for, make_group, run_verification
+from zerolen.atoms import _catalog
 from zerolen.verify import TARGETS, VerificationReport, _check_witnesses
 
 
@@ -92,6 +93,26 @@ GOLDEN = {
 @pytest.mark.parametrize("target", sorted(GOLDEN))
 def test_report_matches_golden(target):
     assert run_verification(target).as_dict() == GOLDEN[target]
+
+
+# the nodes each target ticks from cold atom catalogs and engines, as its
+# text-mode ``nodes`` line prints them
+NODES = {
+    "P33": 3109,
+    "T41": 8471,
+    "T46": 1226,
+    "T47": 11878,
+    "T48": 7878,
+    "T36": 347,
+    "C24INT": 2495,
+}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_report_nodes_are_pinned(target):
+    engine_for.cache_clear()
+    _catalog.cache_clear()
+    assert run_verification(target).nodes == NODES[target]
 
 
 def test_targets_come_in_order_and_are_all_pinned():
