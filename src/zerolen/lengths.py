@@ -54,7 +54,6 @@ Length sets travel as sorted tuples.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,26 +343,13 @@ def _one_per_orbit(atoms, stab) -> list[int]:
     (positions, packed state); its image under φ is the sorted tuple of φ's
     images of its positions.  An atom's orbit is grown through U_{k-1},
     ..., U_0, each step imaging the orbit so far by one transversal: about
-    |orbit|·Σ|U_j| images.  When |Stab| is no more than Σ|U_j|, the images
-    of one atom under all of Stab cost no more, so Stab is listed and each
-    orbit is taken at once.
+    |orbit|·Σ|U_j| images, never a list of Stab.
     """
-    us = [u for u in stab if len(u) > 1]
-    if not us:
+    steps = [u[1:] for u in reversed(stab) if len(u) > 1]  # u[0] is the identity
+    if not steps:
         return [ak for _, ak in atoms]
-    order = math.prod(map(len, us))
     seen: set[tuple[int, ...]] = set()
     out = []
-    if order <= sum(map(len, us)):
-        elems = us[-1]
-        for u in reversed(us[:-1]):
-            elems = [tuple(map(phi.__getitem__, psi)) for phi in u for psi in elems]
-        for ps, ak in atoms:
-            if ps not in seen:
-                out.append(ak)
-                seen.update(map(tuple, map(sorted, map(itemgetter(*ps), elems))))
-        return out
-    steps = [u[1:] for u in reversed(us)]  # u[0] is the identity
     for ps, ak in atoms:
         if ps not in seen:
             out.append(ak)

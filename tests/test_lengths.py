@@ -87,6 +87,19 @@ def test_whole_byte_fields_keep_the_size_cap():
             PackedLayout(G, G.nonzero_elements, 32, whole_bytes=whole_bytes)
 
 
+@pytest.mark.parametrize("width, size", [(127, 1), (128, 2), (2**15, 4), (2**31, 8)])
+def test_whole_byte_fields_round_trip(width, size):
+    # fields past one byte go through an array of the host's machine integers
+    G = make_group([2, 2])
+    layout = PackedLayout(G, G.nonzero_elements, width, whole_bytes=True)
+    assert layout.bits == 8 * size
+    fields = [width, 1, width - 2]
+    state = layout.pack(zip(G.nonzero_elements, fields))
+    assert layout.state(fields) == state
+    assert list(layout.vector(state)) == fields
+    assert layout.state(layout.vector(state)) == state
+
+
 def test_node_budget_covers_one_query(monkeypatch):
     monkeypatch.setenv("ZEROLEN_MAX_NODES", "30")
     g5 = make_group([5])
