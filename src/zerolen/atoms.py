@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import compress, product, repeat
+from operator import itemgetter, lshift, or_
 from typing import Iterable
 
 from .budget import NodeCounter
@@ -49,28 +51,32 @@ def _minimal_zero_sums(
 ) -> list[tuple[tuple[Element, int], ...]]:
     """All minimal zero-sum multisets over the ordered nonzero elements.
 
-    One node per walk call, under a fresh budget.
+    One node per walk call, under a fresh budget.  The subsequence sums are
+    a list of masks indexed by element: bit k of ``reach[t]`` is set when k
+    terms sum to the element of index t.  Adding g maps ``reach[t]`` to
+    ``reach[t] | reach[t - g] << 1``, one C-level map per step, where
+    ``back[i]`` reads ``reach[t - g]`` for every t, g = elems[i].
     """
-    zero = group.zero
-    add = group.add
     m = len(elems)
     maxlen = group.order  # Davenport upper bound D(G) <= |G|
     out: list[tuple[tuple[Element, int], ...]] = []
     counts = [0] * m
-    shifted: list[dict[Element, Element]] = [{} for _ in elems]  # s -> s + elems[i]
+    # t - g for every t in index order: each coordinate's range shifted by -g
+    back = [
+        itemgetter(*map(group.index, product(*(
+            [(x - c) % n for x in range(n)]
+            for c, n in zip(g, group.invariant_factors)
+        ))))
+        for g in elems
+    ]
+    ones = repeat(1)
     tick = NodeCounter().tick
 
-    def walk(start: int, reach: dict[Element, int], size: int) -> None:
+    def walk(start: int, reach: list[int], size: int) -> None:
         tick()
         for i in range(start, m):
-            g, plus = elems[i], shifted[i]
-            new = dict(reach)
-            for s, mask in reach.items():
-                t = plus.get(s)
-                if t is None:
-                    t = plus[s] = add(s, g)
-                new[t] = new.get(t, 0) | (mask << 1)
-            hit = new.get(zero, 0) & ~1
+            new = list(map(or_, reach, map(lshift, back[i](reach), ones)))
+            hit = new[0] & ~1  # index 0 is the zero element
             if hit == 0:
                 # still zero-sum free; extend
                 if size + 1 < maxlen:
@@ -80,13 +86,11 @@ def _minimal_zero_sums(
             elif hit == 1 << (size + 1):
                 # the only zero-sum sub-multiset is the whole thing: an atom
                 counts[i] += 1
-                out.append(
-                    tuple((elems[j], counts[j]) for j in range(m) if counts[j])
-                )
+                out.append(tuple(compress(zip(elems, counts), counts)))
                 counts[i] -= 1
             # otherwise a proper zero-sum exists; every extension is dead
 
-    walk(0, {zero: 1}, 0)
+    walk(0, [1] + [0] * (maxlen - 1), 0)
     return out
 
 

@@ -219,8 +219,9 @@ def davenport_lower_bound(group: FiniteAbelianGroup) -> DavenportBound:
     return DavenportBound(value, group.rank <= 2 or group.is_p_group)
 
 
-# The tree keeps one permutation per automorphism, a few hundred bytes each
-# (8 MB for the 20,160 of C2^4); past this size callers use another method.
+# A leaf holds only the getter of its block, about 200 bytes (4.2 MB traced
+# for the 20,160 automorphisms of C2^4); past this size callers use another
+# method.
 MAX_TREE_AUTOMORPHISMS = 100_000
 
 
@@ -235,10 +236,12 @@ class AutomorphismTree:
     j-th generator, and its nodes hold the images of block j: the elements
     in the span of the first j + 1 generators but not of the first j.  In
     index order each block is one run of positions, so a permutation's
-    blocks, level by level, are its positions in order.  A node is a pair
-    (getter, children); the getter reads the node's block of v∘φ from a
-    vector v over positions, and a leaf's children are the full permutation
-    tuple, with (v∘φ)[p] = v[φ[p]].
+    blocks, level by level, are its positions in order.  Each node is the
+    getter of its block, which reads the node's block of v∘φ from a vector v
+    over positions, with (v∘φ)[p] = v[φ[p]].  An inner node pairs it with
+    its children, (getter, children); a leaf is its getter alone.  No
+    permutation is stored: a leaf's is the blocks on its path, and a getter
+    applied to the identity gives its block.
 
     The levels are a stabilizer chain (Seress, *Permutation Group
     Algorithms*, 2003): the automorphisms below the identity's level-j node
@@ -262,13 +265,17 @@ class AutomorphismTree:
         self.size = zero = len(elems) - 1
         # per level: the low value of its block (a block of one position
         # reads an int, a longer one a tuple) and the position ending it
-        self._levels = []
+        levels = []
         span = 1
         for n in factors:
-            self._levels.append((-1 if (n - 1) * span == 1 else (), n * span - 1))
+            levels.append((-1 if (n - 1) * span == 1 else (), n * span - 1))
             span *= n
+        # the trivial group has no level, and its one form is empty
+        *self._inner, (self._leaf_low, _) = levels or [((), 0)]
         # the candidate images of a generator of order n: each element h of
-        # order n, with its multiples h, 2h, ..., (n - 1)h
+        # order n, with its multiples h, 2h, ..., (n - 1)h and their add
+        # rows end to end, so that add[kh][y] is row[(k - 1) * order + y]
+        order = zero + 1
         candidates = {}
         for n in set(factors):
             candidates[n] = []
@@ -277,43 +284,53 @@ class AutomorphismTree:
                 while multiples[-1] != zero and len(multiples) < n - 1:
                     multiples.append(add[multiples[-1]][h])
                 if multiples[-1] != zero and add[multiples[-1]][h] == zero:
-                    candidates[n].append(multiples)
+                    row = [x for c in multiples for x in add[c]]
+                    candidates[n].append((multiples, row))
+        last = len(factors) - 1
         leaves = 0
 
         def grow(depth: int, img: tuple[int, ...]) -> list:
-            # img: the slots of the span chosen so far, zero first
+            # img: the slots of the span chosen so far, zero first.  A
+            # choice's block is kh + y for each multiple kh and each y of
+            # img, which ``read`` takes off its row in one call; at the root
+            # img is the zero slot alone, and the block is the multiples
             nonlocal leaves
+            n = factors[depth]
             taken, kids = set(img), []
-            for multiples in candidates[factors[depth]]:
+            read = itemgetter(*[k * order + y for k in range(n - 1) for y in img])
+            for multiples, row in candidates[n]:
                 if not taken.isdisjoint(multiples):
                     continue
-                block = tuple([add[c][y] for c in multiples for y in img])
-                if depth + 1 == len(factors):
-                    sub = img[1:] + block
-                    leaves += 1
-                else:
-                    sub = grow(depth + 1, img + block)
-                    if not sub:  # no automorphism extends this choice
-                        continue
-                kids.append((itemgetter(*block), sub))
+                block = read(row) if depth else tuple(multiples)
+                if depth == last:
+                    kids.append(itemgetter(*block))
+                    continue
+                sub = grow(depth + 1, img + block)
+                if sub:  # else no automorphism extends this choice
+                    kids.append((itemgetter(*block), sub))
+            if depth == last:
+                leaves += len(kids)
             return kids
 
-        self._root = grow(0, (zero,)) if factors else ()
+        self._root = grow(0, (zero,)) if factors else []
         if factors and leaves != group.automorphism_count:
             raise AssertionError(
                 f"Aut({group.label}): {leaves} != {group.automorphism_count}"
             )
         # the identity's path: per level, its node's children and the index
         # of the identity's child, whose block is a run of positions in order
-        ident = list(range(zero))
-        self._spine = []
+        self._identity = ident = tuple(range(zero))
+        self._spine, self._path = [], []
         kids, start = self._root, 0
-        for low, end in self._levels:
+        for depth, (low, end) in enumerate(levels):
+            gets = kids if depth == last else [get for get, _ in kids]
             run = start if low == -1 else tuple(range(start, end))
-            i = next(i for i, (get, _) in enumerate(kids) if get(ident) == run)
+            i = [get(ident) for get in gets].index(run)
             self._spine.append((kids, i))
-            kids, start = kids[i][1], end
-        self._identity = tuple(ident)
+            self._path.append(gets[i])
+            if depth < last:
+                kids = kids[i][1]
+            start = end
 
     def canonical_form(self, v) -> tuple[int, ...]:
         """The largest image v∘φ over Aut(G), as a tuple.
@@ -323,12 +340,13 @@ class AutomorphismTree:
         The form is the best block of each level in turn.  Once the best
         prefix holds every nonzero entry of v, every surviving completion
         is zeros, so the search stops there; until the prefix is as long as
-        v's nonzero count, that test is one comparison per level.
+        v's nonzero count, that test is one comparison per level.  On the
+        leaf level only the best block is kept.
         """
         nonzero = self.size - v.count(0)
         frontier = [self._root]
         bests = []
-        for best, end in self._levels:
+        for best, end in self._inner:
             keep = []
             for kids in frontier:
                 for get, sub in kids:
@@ -340,15 +358,17 @@ class AutomorphismTree:
             frontier = keep
             bests.append(best)
             if end >= nonzero:
-                form = []
-                for b in bests:
-                    if b.__class__ is int:
-                        form.append(b)
-                    else:
-                        form += b
+                form = _joined(bests)
                 if end - form.count(0) == nonzero:
                     return tuple(form) + (0,) * (self.size - end)
-        return ()  # the trivial group: no positions
+        best = self._leaf_low
+        for kids in frontier:
+            for get in kids:
+                val = get(v)
+                if val > best:
+                    best = val
+        bests.append(best)
+        return tuple(_joined(bests))
 
     def transversals(self, v) -> list[list[tuple[int, ...]]]:
         """Stab(v) of a canonical v as transversals U_0, ..., U_{k-1}.
@@ -359,30 +379,46 @@ class AutomorphismTree:
         of U_j fixes the first j generators, so the orbit of a point under
         Stab(v) is grown through U_{k-1}, ..., U_0.  v must be its own
         canonical form, so a branch that ties v's blocks is never beaten.
-        The search below a child stops at its first such leaf.
+        The search below a child stops at its first such leaf, and its
+        permutation is rebuilt from its path.
         """
-        wants = [kids[i][0](v) for kids, i in self._spine]
+        path, ident = self._path, self._identity
+        wants = [get(v) for get in path]
         out = []
         for j, (kids, i) in enumerate(self._spine):
-            u = [self._identity]
-            want = wants[j]
-            for c, (get, sub) in enumerate(kids):
-                if c != i and get(v) == want:
-                    leaf = _tying_leaf(sub, v, wants, j + 1)
-                    if leaf is not None:
-                        u.append(leaf)
+            u = [ident]
+            for c, kid in enumerate(kids):
+                tail = None if c == i else _tying_path((kid,), v, wants, j)
+                if tail is not None:
+                    blocks = [get(ident) for get in path[:j] + tail]
+                    u.append(tuple(_joined(blocks)))
             out.append(u)
         return out
 
 
-def _tying_leaf(kids, v, wants, depth):
-    """The first leaf below ``kids`` whose blocks from ``depth`` on read ``wants``."""
-    if depth == len(wants):
-        return kids
+def _joined(blocks) -> list[int]:
+    """The blocks, each an int or a tuple, as one list."""
+    out = []
+    for b in blocks:
+        if b.__class__ is int:
+            out.append(b)
+        else:
+            out += b
+    return out
+
+
+def _tying_path(kids, v, wants, depth):
+    """The getters, from ``depth`` on, of the first leaf below ``kids`` whose
+    blocks read ``wants``; None if there is none."""
     want = wants[depth]
+    if depth + 1 == len(wants):  # kids are leaves
+        for get in kids:
+            if get(v) == want:
+                return [get]
+        return None
     for get, sub in kids:
         if get(v) == want:
-            leaf = _tying_leaf(sub, v, wants, depth + 1)
-            if leaf is not None:
-                return leaf
+            tail = _tying_path(sub, v, wants, depth + 1)
+            if tail is not None:
+                return [get, *tail]
     return None

@@ -191,23 +191,41 @@ def survivor_canonical(tree, v) -> tuple[tuple[int, ...], list[tuple[int, ...]]]
     """The largest image v∘φ over the tree's automorphisms, and every φ reaching it.
 
     Breadth-first over every level, with no early stop: a branch survives
-    while its blocks tie with the best so far.  When v is its own canonical
-    form the survivors are Stab(v), listed element by element.  It shares
-    only the tree's nodes with ``AutomorphismTree``, and the tests check it
-    against ``naive_automorphisms``.
+    while its blocks tie with the best so far, and keeps its path of
+    getters.  When v is its own canonical form the survivors are Stab(v),
+    listed element by element, each permutation rebuilt from its path by
+    reading every block off the identity vector.  It shares only the tree's
+    nodes with ``AutomorphismTree``, and the tests check it against
+    ``naive_automorphisms``.
     """
-    frontier = [tree._root]
-    for best, _ in tree._levels:
+    frontier = [(tree._root, ())]  # (children, getters from the root)
+    for best, _ in tree._inner:
         keep = []
-        for kids in frontier:
+        for kids, path in frontier:
             for get, sub in kids:
                 val = get(v)
                 if val > best:
-                    best, keep = val, [sub]
+                    best, keep = val, [(sub, path + (get,))]
                 elif val == best:
-                    keep.append(sub)
+                    keep.append((sub, path + (get,)))
         frontier = keep
-    return tuple(v[p] for p in frontier[0]), frontier
+    best, paths = tree._leaf_low, []
+    for kids, path in frontier:
+        for get in kids:  # a leaf is its getter alone
+            val = get(v)
+            if val > best:
+                best, paths = val, [path + (get,)]
+            elif val == best:
+                paths.append(path + (get,))
+    identity = list(range(tree.size))
+    perms = []
+    for path in paths:
+        perm = []
+        for get in path:
+            block = get(identity)
+            perm += [block] if isinstance(block, int) else block
+        perms.append(tuple(perm))
+    return tuple(v[p] for p in perms[0]), perms
 
 
 def naive_orbit_levels(group: FiniteAbelianGroup, bits: int, limit: int):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from zerolen import (
@@ -8,6 +10,9 @@ from zerolen import (
     make_group,
     parse_sequence,
 )
+
+from zerolen.atoms import _catalog
+from zerolen.budget import global_nodes
 
 from oracles import naive_atoms
 
@@ -58,6 +63,35 @@ def test_enumeration_matches_naive_oracle(factors):
     catalog = enumerate_atoms(G)
     expected = {a.items for a in naive_atoms(G, G.nonzero_elements, G.order)}
     assert {a.items for a in catalog} == expected
+
+
+@pytest.mark.parametrize(
+    "factors,nodes",
+    [([2, 4], 95), ([3, 3], 185), ([2, 2, 2, 2], 1381), ([2, 2, 4], 2769)],
+)
+def test_atom_walk_nodes_are_pinned(factors, nodes):
+    # one tick per walk call; the uncached body of the catalog cache
+    G = make_group(factors)
+    before = global_nodes()
+    _catalog.__wrapped__(G, G.nonzero_elements)
+    assert global_nodes() - before == nodes
+
+
+# sha256 of the repr of the catalog's items, recorded before the walk moved
+# to index tables; naive_atoms checks groups up to order 9 only
+_CATALOG_DIGESTS = {
+    (2, 2, 2, 2): "5bd526f630c99a92a6141205b98c721930158d581aa5ee6b74ba295b974d9e4f",
+    (2, 2, 4): "19f2f4e2f9ba0d31dc6ace81420b2f5985c0709684e8ebf7b43e0b8d5aca5b4a",
+    (4, 4): "3d5321313e9daf10a965789c051a757071f061ebc1fcbab0a7e10b9734d29060",
+    (2, 8): "118c2b112b2748d96c79eb58725861d01a33ab52bb25dadf573310603d648352",
+}
+
+
+@pytest.mark.parametrize("factors", sorted(_CATALOG_DIGESTS))
+def test_order_16_catalogs_are_pinned(factors):
+    catalog = enumerate_atoms(make_group(factors))
+    digest = hashlib.sha256(repr([a.items for a in catalog]).encode()).hexdigest()
+    assert digest == _CATALOG_DIGESTS[factors]
 
 
 def test_classification_c2c4():

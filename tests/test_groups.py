@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from functools import cache
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from zerolen import davenport_lower_bound, invariant_factors, make_group, parse_group
 from zerolen.budget import ResourceLimitError
+from zerolen.groups import AutomorphismTree
 
 from oracles import naive_automorphisms, survivor_canonical
 
@@ -107,6 +109,18 @@ def test_automorphism_count_closed_form():
     assert make_group([]).automorphism_count == 1
     with pytest.raises(ResourceLimitError):
         make_group([2] * 5).automorphisms  # too many to hold as a tree
+
+
+def test_automorphism_tree_of_c2_4_fits_in_4_5_mb():
+    # a leaf holds only its block's getter, with no permutation of its own
+    tracemalloc.start()
+    try:
+        tree = AutomorphismTree(make_group([2, 2, 2, 2]))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.size == 15
+    assert held <= 4_500_000
 
 
 def _random_vectors(size: int, rng: random.Random):
