@@ -1,10 +1,13 @@
 """Enumeration and classification of minimal zero-sum sequences (atoms).
 
 The enumerator walks multisets over the chosen subset in canonical element
-order, carrying the set of subsequence sums (with reaching cardinalities as a
-bitmask) down the search tree.  A branch dies as soon as a proper zero-sum
-sub-multiset appears, so the tree visited is exactly the zero-sum-free
-sequences plus the atoms hanging off them.
+order, carrying the subsequence sums down the search tree as one mask per
+element of G, in index order: bit k of an element's mask is set when k terms
+sum to it.  Adding an element g is one C-level pass over that list, which
+reads the mask of t - g for every t through an index getter built once per
+element.  A branch dies as soon as a proper zero-sum sub-multiset appears, so
+the tree visited is exactly the zero-sum-free sequences plus the atoms
+hanging off them.
 """
 
 from __future__ import annotations
@@ -51,24 +54,23 @@ def _minimal_zero_sums(
 ) -> list[tuple[tuple[Element, int], ...]]:
     """All minimal zero-sum multisets over the ordered nonzero elements.
 
-    One node per walk call, under a fresh budget.  The subsequence sums are
-    a list of masks indexed by element: bit k of ``reach[t]`` is set when k
-    terms sum to the element of index t.  Adding g maps ``reach[t]`` to
-    ``reach[t] | reach[t - g] << 1``, one C-level map per step, where
-    ``back[i]`` reads ``reach[t - g]`` for every t, g = elems[i].
+    One node per walk call, under a fresh budget.  Bit k of ``reach[t]`` is
+    set when k terms sum to the element of index t.  Adding g = elems[i]
+    maps ``reach[t]`` to ``reach[t] | reach[t - g] << 1``, where ``back[i]``
+    reads ``reach[t - g]`` for every t.
     """
     m = len(elems)
     maxlen = group.order  # Davenport upper bound D(G) <= |G|
     out: list[tuple[tuple[Element, int], ...]] = []
     counts = [0] * m
-    # t - g for every t in index order: each coordinate's range shifted by -g
-    back = [
-        itemgetter(*map(group.index, product(*(
-            [(x - c) % n for x in range(n)]
-            for c, n in zip(g, group.invariant_factors)
-        ))))
-        for g in elems
-    ]
+    # in index order, t - g runs over the product of each coordinate's range
+    # shifted by -g
+    back = []
+    for g in elems:
+        shifted = [
+            [(x - c) % n for x in range(n)] for c, n in zip(g, group.invariant_factors)
+        ]
+        back.append(itemgetter(*map(group.index, product(*shifted))))
     ones = repeat(1)
     tick = NodeCounter().tick
 

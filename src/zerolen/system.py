@@ -1,11 +1,13 @@
 """Bounded systems of sets of lengths and the system-level invariants.
 
-The enumeration core is the packed forward sweep of ``lengths`` with the
-length bound as every multiplicity's cap: a state is a zero-sum multiset, its
-value the bitmask of factorization lengths.  Each reader consumes the sweep
-in one pass and keeps only what it needs.  Every result at this level is a
-bounded certificate: it speaks about all zero-sum sequences up to the stated
-length bound, never about the full infinite system.  Each bound is stated
+The enumeration core is ``lengths.orbit_sweep``, which walks up from the
+empty sequence to the length bound, one size level at a time: a state is a
+zero-sum multiset of nonzero elements, its value the bitmask of its
+factorization lengths.  No multiplicity has a cap of its own; the bound alone
+ends the walk.  Each reader consumes the sweep in one pass and keeps only
+what it needs.  Every result at this level is a bounded certificate: it
+speaks about all zero-sum sequences up to the stated length bound, never
+about the full infinite system.  Each bound is stated
 once, here: ``default_bound`` is the one table of certificate bounds (which
 ``verify``'s catalog targets sweep at), ``resolve_bound`` applies it and
 rejects a negative bound, and ``size_bound`` is the rule |B| <= k*D(G).
