@@ -318,7 +318,8 @@ class AutomorphismTree:
                 f"Aut({group.label}): {leaves} != {group.automorphism_count}"
             )
         # the identity's path: per level, its node's children and the index
-        # of the identity's child, whose block is a run of positions in order
+        # of the identity's child, whose block is a run of positions in order,
+        # and in ``_path`` that child's getter
         self._identity = ident = tuple(range(zero))
         self._spine, self._path = [], []
         kids, start = self._root, 0
